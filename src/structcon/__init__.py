@@ -15,7 +15,6 @@ from .algebra import (
     gl,
     lie_closure,
     so,
-    span_insert,
     su,
     to_matrix,
 )

@@ -10,6 +10,8 @@ point.
 Brackets are computed twice over: once from the structure constants of the
 basis, and once by multiplying exact complex-rational matrices.  The two
 routes are kept deliberately independent so that each can check the other.
+The structure constants are built per basis element on first use and
+applied by one vector routine, which both `bracket` and `LieClosure` call.
 """
 
 from __future__ import annotations
@@ -474,42 +476,59 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
     return sorted(acc.items())
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the structure constants; result canonicalized."""
-    if x.kind != y.kind:
-        raise KindMismatch(f"cannot bracket {x.kind} with {y.kind}")
-    items: list[tuple[BasisElement, Fraction]] = []
-    for a, ca in x.items():
-        for b, cb in y.items():
-            c = ca * cb
-            items.extend((r, c * cr) for r, cr in _pair_bracket(a, b))
-    return AlgebraElement.build(x.kind, items)
+_Row = dict[int, tuple[tuple[int, Fraction], ...]]
+
+
+class _Rules:
+    """Structure constants of one algebra, one basis element at a time.
+
+    Row a maps each basis index b with [a, b] != 0 to that bracket as
+    (index, coefficient) pairs.  Elements on disjoint node pairs commute, so
+    a row scans only the elements sharing a node with a, and is built the
+    first time a bracket needs it.
+    """
+
+    __slots__ = ("basis", "index", "by_node", "rows")
+
+    def __init__(self, kind: AlgebraKind):
+        self.basis = canonical_basis(kind)
+        self.index = _basis_index(kind)
+        self.by_node: list[list[int]] = [[] for _ in range(kind.n + 1)]
+        for k, b in enumerate(self.basis):
+            self.by_node[b.i].append(k)
+            if b.j != b.i:
+                self.by_node[b.j].append(k)
+        self.rows: list[_Row | None] = [None] * len(self.basis)
+
+    def row(self, ia: int) -> _Row:
+        row = self.rows[ia]
+        if row is None:
+            a = self.basis[ia]
+            row = {}
+            for ib in sorted({*self.by_node[a.i], *self.by_node[a.j]}):
+                entries = _pair_bracket(a, self.basis[ib])
+                if entries:
+                    row[ib] = tuple((self.index[r], c) for r, c in entries)
+            self.rows[ia] = row
+        return row
 
 
 @functools.lru_cache(maxsize=None)
-def _bracket_table(kind: AlgebraKind) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    """All ordered basis-pair brackets as index vectors, for the closure loop."""
-    basis = canonical_basis(kind)
-    index = _basis_index(kind)
-    table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for ia, a in enumerate(basis):
-        for ib, b in enumerate(basis):
-            if ia == ib:
-                continue
-            entries = _pair_bracket(a, b)
-            if entries:
-                table[(ia, ib)] = tuple((index[r], c) for r, c in entries)
-    return table
+def _rules(kind: AlgebraKind) -> _Rules:
+    return _Rules(kind)
 
 
 def _bracket_vec(x: dict[int, Fraction], y: dict[int, Fraction],
-                 table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]) -> dict[int, Fraction]:
+                 rules: _Rules) -> dict[int, Fraction]:
+    """[x, y] on coordinate vectors: the one bracket routine of the package."""
     out: dict[int, Fraction] = {}
     for ia, ca in x.items():
-        for ib, cb in y.items():
-            ent = table.get((ia, ib))
-            if not ent:
-                continue
+        row = rules.row(ia)
+        if len(row) <= len(y):
+            hits = [(y[ib], ent) for ib, ent in row.items() if ib in y]
+        else:
+            hits = [(cb, row[ib]) for ib, cb in y.items() if ib in row]
+        for cb, ent in hits:
             c = ca * cb
             for idx, coeff in ent:
                 v = out.get(idx, _Q0) + c * coeff
@@ -518,6 +537,14 @@ def _bracket_vec(x: dict[int, Fraction], y: dict[int, Fraction],
                 else:
                     del out[idx]
     return out
+
+
+def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Bilinear extension of the structure constants; result canonicalized."""
+    if x.kind != y.kind:
+        raise KindMismatch(f"cannot bracket {x.kind} with {y.kind}")
+    z = _bracket_vec(x.to_vector(), y.to_vector(), _rules(x.kind))
+    return AlgebraElement.from_vector(x.kind, z)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +565,13 @@ class _Echelon:
         return len(self.rows)
 
     def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        # RREF rows vanish at each other's pivots, so the order is immaterial
         out = dict(vec)
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if not c:
+        for p, c in vec.items():
+            row = self.rows.get(p)
+            if row is None:
                 continue
-            for idx, v in self.rows[p].items():
+            for idx, v in row.items():
                 nv = out.get(idx, _Q0) - c * v
                 if nv:
                     out[idx] = nv
@@ -600,26 +628,6 @@ class SpanBasis:
             raise KindMismatch(f"element of {e.kind} tested against a {self.kind} span")
         return self._echelon().contains(e.to_vector())
 
-    @staticmethod
-    def empty(kind: AlgebraKind) -> "SpanBasis":
-        return SpanBasis(kind, ())
-
-
-def _basis_from_echelon(kind: AlgebraKind, ech: _Echelon) -> SpanBasis:
-    rows = tuple(AlgebraElement.from_vector(kind, v) for v in ech.ordered_rows())
-    return SpanBasis(kind, rows)
-
-
-def span_insert(basis: SpanBasis, e: AlgebraElement) -> tuple[SpanBasis, bool]:
-    """Insert e into the span; returns the new basis and whether rank grew."""
-    if e.kind != basis.kind:
-        raise KindMismatch(f"cannot insert a {e.kind} element into a {basis.kind} span")
-    ech = basis._echelon()
-    inserted = ech.insert(e.to_vector())
-    if not inserted:
-        return basis, False
-    return _basis_from_echelon(basis.kind, ech), True
-
 
 class LieClosure:
     """Incremental bracket-closure state.
@@ -633,7 +641,7 @@ class LieClosure:
     def __init__(self, kind: AlgebraKind):
         self.kind = kind
         self.dim = kind.dimension
-        self.table = _bracket_table(kind)
+        self.rules = _rules(kind)
         self.ech = _Echelon()
         self.spanning: list[dict[int, Fraction]] = []
         self.frontier: list[dict[int, Fraction]] = []
@@ -643,7 +651,7 @@ class LieClosure:
         new = object.__new__(LieClosure)
         new.kind = self.kind
         new.dim = self.dim
-        new.table = self.table
+        new.rules = self.rules
         new.ech = _Echelon()
         new.ech.rows = {p: dict(r) for p, r in self.ech.rows.items()}
         new.spanning = list(self.spanning)
@@ -665,34 +673,28 @@ class LieClosure:
                 self.frontier.append(vec)
 
     def run(self) -> None:
-        # sweep cap: rank grows on every productive sweep, so dimension bounds it
-        cap = self.dim + 1
-        swept = 0
-        while self.frontier and self.ech.rank < self.dim and swept <= cap:
-            swept += 1
+        # a sweep yields a frontier only when the rank grew, so this terminates
+        while self.frontier and self.ech.rank < self.dim:
             produced: list[dict[int, Fraction]] = []
-            full = False
             for x in self.frontier:
                 for y in list(self.spanning):
                     if x is y:
                         continue
-                    z = _bracket_vec(x, y, self.table)
+                    z = _bracket_vec(x, y, self.rules)
                     if z and self.ech.insert(z):
                         self.spanning.append(z)
                         produced.append(z)
                         if self.ech.rank == self.dim:
-                            full = True
                             break
-                if full:
+                if self.ech.rank == self.dim:
                     break
             if produced:
                 self.steps += 1
             self.frontier = produced
-            if full:
-                break
 
     def basis(self) -> SpanBasis:
-        return _basis_from_echelon(self.kind, self.ech)
+        rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())
+        return SpanBasis(self.kind, rows)
 
 
 def lie_closure(generators: list[AlgebraElement]) -> tuple[SpanBasis, int, int]:

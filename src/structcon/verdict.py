@@ -65,10 +65,6 @@ class Report:
     contradiction: bool
     decided_by: str
 
-    @property
-    def kind_label(self) -> str:
-        return self.decided_by
-
 
 def _require(pair: ZeroPatternPair, family: Family, what: str) -> None:
     if pair.kind.family is not family:

@@ -8,7 +8,8 @@ from structcon.algebra import (
     AlgebraElement,
     BasisElement,
     Cq,
-    SpanBasis,
+    _pair_bracket,
+    _Rules,
     bracket,
     bracket_via_matrices,
     canonical_basis,
@@ -17,7 +18,6 @@ from structcon.algebra import (
     gl,
     lie_closure,
     so,
-    span_insert,
     su,
     to_matrix,
 )
@@ -131,6 +131,20 @@ def test_bracket_equals_matrix_oracle_on_all_basis_pairs(kind):
             assert bracket(x, y) == bracket_via_matrices(x, y), (a, b)
 
 
+@pytest.mark.parametrize("kind", [so(5), gl(4), su(5)], ids=str)
+def test_rule_rows_match_full_basis_scan(kind):
+    # rows scan only the elements sharing a node; a full scan must find nothing more
+    basis = canonical_basis(kind)
+    rules = _Rules(kind)
+    for ia, a in enumerate(basis):
+        full = {}
+        for ib, b in enumerate(basis):
+            entries = _pair_bracket(a, b)
+            if entries:
+                full[ib] = tuple((basis.index(r), c) for r, c in entries)
+        assert rules.row(ia) == full, a
+
+
 def _elements(kind, max_terms=4):
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
     pairs = st.tuples(st.sampled_from(canonical_basis(kind)), coeffs)
@@ -170,20 +184,6 @@ def test_matrix_round_trip_su4(e):
 @given(x=_elements(su(3)), y=_elements(su(3)))
 def test_bracket_agrees_with_matrix_route_su3(x, y):
     assert bracket(x, y) == bracket_via_matrices(x, y)
-
-
-def test_span_insert_rank_tracking():
-    s3 = su(3)
-    basis = SpanBasis.empty(s3)
-    basis, inserted = span_insert(basis, unit(s3, "B", 1, 2))
-    assert inserted and basis.rank == 1
-    basis2, inserted = span_insert(basis, unit(s3, "B", 1, 2).scale(3))
-    assert not inserted and basis2.rank == 1
-    basis3, inserted = span_insert(basis, elem(s3, ("B", 1, 2, 1), ("C", 1, 2, 1)))
-    assert inserted and basis3.rank == 2
-    assert basis.rank == 1  # inputs are immutable values
-    with pytest.raises(KindMismatch):
-        span_insert(basis, unit(su(4), "B", 1, 2))
 
 
 def test_closure_of_so3_path_matches_brute_force():

@@ -168,6 +168,20 @@ def test_cmd_report(capsys):
     assert "Cross-check contradiction: no" in out
 
 
+def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys):
+    # su(200) has dimension 39999, but B12 and C12 close to a 3-dimensional su(2)
+    spec = tmp_path / "su200.json"
+    spec.write_text(json.dumps({
+        "algebra": "su", "n": 200,
+        "drift": [{"terms": [{"basis": "B", "i": 1, "j": 2, "coeff": "1"}]}],
+        "control": [{"basis": "C", "i": 1, "j": 2}],
+    }))
+    assert main(["report", str(spec), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle"]["dimensions"] == [3] * 8
+    assert payload["contradiction"] is False
+
+
 def test_stdin_spec(monkeypatch, capsys):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(load_spec_text("gl4_unit_drift")))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from structcon.algebra import AlgebraElement, BasisElement, SpanBasis, gl, so, span_insert, su
+from structcon.algebra import AlgebraElement, BasisElement, gl, so, su
 from structcon.errors import EmptyPool, KindMismatch, ValidationError
 from structcon.patterns import (
     DEFAULT_POOL,
@@ -14,9 +14,15 @@ from structcon.patterns import (
     sample_drift,
 )
 
+from helpers import DenseSpan, elem_matrix, flatten
+
 
 def elem(kind, *terms):
     return AlgebraElement.build(kind, [(BasisElement(t, i, j), c) for t, i, j, c in terms])
+
+
+def dense_vector(e):
+    return flatten(elem_matrix(e.kind.n, [(b.tag, b.i, b.j, c) for b, c in e.items()]))
 
 
 def so6_drift():
@@ -66,11 +72,11 @@ def test_sample_drift_deterministic_and_in_span():
     a3 = sample_drift(p, DEFAULT_POOL, seed=43)
     assert a1 == a2
     assert a1 != a3  # overwhelmingly likely; pinned by the fixed seeds
-    span = SpanBasis.empty(p.kind)
+    span = DenseSpan()
     for base in p.bases:
-        span, _ = span_insert(span, base)
+        span.insert(dense_vector(base))
     for seed in range(10):
-        assert span.contains(sample_drift(p, DEFAULT_POOL, seed))
+        assert span.contains(dense_vector(sample_drift(p, DEFAULT_POOL, seed)))
 
 
 def test_sample_drift_single_base_and_empty_pool():
