@@ -3,8 +3,10 @@
 Elements are rational linear combinations of a fixed canonical basis built
 from the matrix units E_ij: the skew-symmetric pairs B_ij = E_ij - E_ji,
 the imaginary symmetric pairs C_ij = i(E_ij + E_ji), and the imaginary
-diagonal differences D_ij = i(E_ii - E_jj).  Every coefficient is a
-`fractions.Fraction`, so span and rank decisions never touch floating
+diagonal differences D_ij = i(E_ii - E_jj).  Element coefficients are
+`fractions.Fraction`s; the structure constants are integers, so the closure
+works on primitive integer coordinate vectors and hands `Fraction`s back
+only at the API boundary.  Span and rank decisions never touch floating
 point.
 
 Brackets are computed twice over: once from the structure constants of the
@@ -20,6 +22,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, KindMismatch, MembershipError
@@ -37,6 +40,10 @@ class Family(Enum):
 
 # basis tags admitted by each family
 _ADMITTED = {Family.SO: "B", Family.GL: "E", Family.SU: "BCD"}
+
+# kinds whose basis, index and rule rows stay cached at once; a long-lived
+# process working through many sizes drops the least recently used
+_KIND_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def validate_basis_element(kind: AlgebraKind, b: BasisElement) -> None:
         raise KindMismatch(f"{b} is out of range for {kind}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
 def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
     """Ordered basis: B lexicographic, then C, then D_12..D_1n, then E row-major."""
     n = kind.n
@@ -123,7 +130,7 @@ def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
 def _basis_index(kind: AlgebraKind) -> dict[BasisElement, int]:
     return {b: k for k, b in enumerate(canonical_basis(kind))}
 
@@ -469,23 +476,24 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
 
     if diag:
         # sum of i*E_pp coefficients must vanish (brackets are traceless)
-        assert sum(diag.values()) == 0
+        if sum(diag.values()):
+            raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
         for p, d in diag.items():
             if p >= 2 and d:
                 bump(BasisElement("D", 1, p), -d)
     return sorted(acc.items())
 
 
-_Row = dict[int, tuple[tuple[int, Fraction], ...]]
+_Row = dict[int, tuple[tuple[int, int], ...]]
 
 
 class _Rules:
     """Structure constants of one algebra, one basis element at a time.
 
     Row a maps each basis index b with [a, b] != 0 to that bracket as
-    (index, coefficient) pairs.  Elements on disjoint node pairs commute, so
-    a row scans only the elements sharing a node with a, and is built the
-    first time a bracket needs it.
+    (index, coefficient) pairs, the coefficients as `int`.  Elements on
+    disjoint node pairs commute, so a row scans only the elements sharing a
+    node with a, and is built the first time a bracket needs it.
     """
 
     __slots__ = ("basis", "index", "by_node", "rows")
@@ -506,22 +514,30 @@ class _Rules:
             a = self.basis[ia]
             row = {}
             for ib in sorted({*self.by_node[a.i], *self.by_node[a.j]}):
-                entries = _pair_bracket(a, self.basis[ib])
+                b = self.basis[ib]
+                entries = _pair_bracket(a, b)
+                if any(c.denominator != 1 for _, c in entries):
+                    raise ArithmeticError(f"[{a}, {b}] has a non-integer structure constant")
                 if entries:
-                    row[ib] = tuple((self.index[r], c) for r, c in entries)
+                    row[ib] = tuple((self.index[r], int(c)) for r, c in entries)
             self.rows[ia] = row
         return row
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
 def _rules(kind: AlgebraKind) -> _Rules:
     return _Rules(kind)
 
 
-def _bracket_vec(x: dict[int, Fraction], y: dict[int, Fraction],
-                 rules: _Rules) -> dict[int, Fraction]:
-    """[x, y] on coordinate vectors: the one bracket routine of the package."""
-    out: dict[int, Fraction] = {}
+def _bracket_vec(x: dict[int, int | Fraction], y: dict[int, int | Fraction],
+                 rules: _Rules) -> dict[int, int | Fraction]:
+    """[x, y] on coordinate vectors: the one bracket routine of the package.
+
+    The structure constants are `int`s, so `int` vectors give an `int`
+    result and `Fraction` vectors a `Fraction` one.
+    """
+    out: dict[int, int | Fraction] = {}
+    get = out.get
     for ia, ca in x.items():
         row = rules.row(ia)
         if len(row) <= len(y):
@@ -531,12 +547,8 @@ def _bracket_vec(x: dict[int, Fraction], y: dict[int, Fraction],
         for cb, ent in hits:
             c = ca * cb
             for idx, coeff in ent:
-                v = out.get(idx, _Q0) + c * coeff
-                if v:
-                    out[idx] = v
-                else:
-                    del out[idx]
-    return out
+                out[idx] = get(idx, 0) + c * coeff
+    return {idx: v for idx, v in out.items() if v}
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -552,58 +564,94 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """vec divided by the gcd of its entries, signed positive at its lowest index."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return vec if g == 1 else {idx: v // g for idx, v in vec.items()}
+
+
+def _integral(vec: dict[int, Fraction]) -> dict[int, int]:
+    """The primitive integer vector on the ray of a Fraction vector."""
+    if not vec:
+        return {}
+    den = lcm(*(v.denominator for v in vec.values()))
+    return _primitive({idx: v.numerator * (den // v.denominator) for idx, v in vec.items()})
+
+
 class _Echelon:
-    """Reduced row echelon form over Fraction coordinate dicts."""
+    """Fully reduced, fraction-free row echelon form over int coordinate dicts.
+
+    Row p is the primitive integer multiple of the RREF row with pivot p:
+    positive at p, zero at every other pivot, entries with gcd 1.  That form
+    is unique, so `ordered_rows` recovers the RREF rows exactly by dividing
+    each row by its pivot entry.  Rows are replaced, never changed in place,
+    so copies of the state may share them.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self) -> None:
-        self.rows: dict[int, dict[int, Fraction]] = {}  # pivot -> row, pivot coeff 1
+        self.rows: dict[int, dict[int, int]] = {}  # pivot -> primitive row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        # RREF rows vanish at each other's pivots, so the order is immaterial
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """A nonzero multiple of vec plus a vector of the span, zero at every
+        pivot; empty exactly when vec lies in the span."""
+        # rows vanish at each other's pivots, so each step clears one pivot
+        # of out and leaves the others zero or nonzero as they were
         out = dict(vec)
-        for p, c in vec.items():
-            row = self.rows.get(p)
-            if row is None:
-                continue
+        rows = self.rows
+        for p in [p for p in vec if p in rows]:
+            row = rows[p]
+            a, c = row[p], out[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                for idx in out:
+                    out[idx] *= a
             for idx, v in row.items():
-                nv = out.get(idx, _Q0) - c * v
+                nv = out.get(idx, 0) - c * v
                 if nv:
                     out[idx] = nv
                 else:
-                    out.pop(idx, None)
+                    del out[idx]
         return out
 
-    def contains(self, vec: dict[int, Fraction]) -> bool:
+    def contains(self, vec: dict[int, int]) -> bool:
         return not self.reduce(vec)
 
-    def insert(self, vec: dict[int, Fraction]) -> bool:
+    def insert(self, vec: dict[int, int]) -> bool:
         red = self.reduce(vec)
         if not red:
             return False
+        red = _primitive(red)
         p = min(red)
-        c = red[p]
-        if c != 1:
-            red = {idx: v / c for idx, v in red.items()}
-        for row in self.rows.values():
-            cc = row.get(p)
-            if cc:
+        a = red[p]
+        for q, row in list(self.rows.items()):
+            c = row.get(p)
+            if c:
+                g = gcd(a, c)
+                m, c = a // g, c // g
+                new = {idx: m * v for idx, v in row.items()} if m != 1 else dict(row)
                 for idx, v in red.items():
-                    nv = row.get(idx, _Q0) - cc * v
+                    nv = new.get(idx, 0) - c * v
                     if nv:
-                        row[idx] = nv
+                        new[idx] = nv
                     else:
-                        row.pop(idx, None)
+                        del new[idx]
+                self.rows[q] = _primitive(new)
         self.rows[p] = red
         return True
 
     def ordered_rows(self) -> list[dict[int, Fraction]]:
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        """The RREF rows in pivot order, pivot entry 1."""
+        return [{idx: Fraction(v, row[p]) for idx, v in row.items()}
+                for p, row in sorted(self.rows.items())]
 
 
 @dataclass(frozen=True)
@@ -620,13 +668,13 @@ class SpanBasis:
     def _echelon(self) -> _Echelon:
         ech = _Echelon()
         for r in self.rows:
-            ech.insert(r.to_vector())
+            ech.insert(_integral(r.to_vector()))
         return ech
 
     def contains(self, e: AlgebraElement) -> bool:
         if e.kind != self.kind:
             raise KindMismatch(f"element of {e.kind} tested against a {self.kind} span")
-        return self._echelon().contains(e.to_vector())
+        return self._echelon().contains(_integral(e.to_vector()))
 
 
 class LieClosure:
@@ -643,8 +691,9 @@ class LieClosure:
         self.dim = kind.dimension
         self.rules = _rules(kind)
         self.ech = _Echelon()
-        self.spanning: list[dict[int, Fraction]] = []
-        self.frontier: list[dict[int, Fraction]] = []
+        # primitive integer vectors
+        self.spanning: list[dict[int, int]] = []
+        self.frontier: list[dict[int, int]] = []
         self.steps = 0
 
     def copy(self) -> "LieClosure":
@@ -653,7 +702,7 @@ class LieClosure:
         new.dim = self.dim
         new.rules = self.rules
         new.ech = _Echelon()
-        new.ech.rows = {p: dict(r) for p, r in self.ech.rows.items()}
+        new.ech.rows = dict(self.ech.rows)
         new.spanning = list(self.spanning)
         new.frontier = list(self.frontier)
         new.steps = self.steps
@@ -667,7 +716,7 @@ class LieClosure:
         for e in elements:
             if e.kind != self.kind:
                 raise KindMismatch(f"generator of {e.kind} in a {self.kind} closure")
-            vec = e.to_vector()
+            vec = _integral(e.to_vector())
             if self.ech.insert(vec):
                 self.spanning.append(vec)
                 self.frontier.append(vec)
@@ -675,13 +724,14 @@ class LieClosure:
     def run(self) -> None:
         # a sweep yields a frontier only when the rank grew, so this terminates
         while self.frontier and self.ech.rank < self.dim:
-            produced: list[dict[int, Fraction]] = []
+            produced: list[dict[int, int]] = []
             for x in self.frontier:
                 for y in list(self.spanning):
                     if x is y:
                         continue
                     z = _bracket_vec(x, y, self.rules)
                     if z and self.ech.insert(z):
+                        z = _primitive(z)
                         self.spanning.append(z)
                         produced.append(z)
                         if self.ech.rank == self.dim:
@@ -722,11 +772,11 @@ def contains_sl(basis: SpanBasis) -> bool:
         for j in range(1, n + 1):
             if i == j:
                 continue
-            if not ech.contains({index[BasisElement("E", i, j)]: _Q1}):
+            if not ech.contains({index[BasisElement("E", i, j)]: 1}):
                 return False
     for i in range(1, n):
-        vec = {index[BasisElement("E", i, i)]: _Q1,
-               index[BasisElement("E", i + 1, i + 1)]: -_Q1}
+        vec = {index[BasisElement("E", i, i)]: 1,
+               index[BasisElement("E", i + 1, i + 1)]: -1}
         if not ech.contains(vec):
             return False
     return True

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from structcon.algebra import (
     AlgebraElement,
     BasisElement,
     Cq,
+    _Echelon,
+    _integral,
     _pair_bracket,
     _Rules,
     bracket,
@@ -23,7 +26,7 @@ from structcon.algebra import (
 )
 from structcon.errors import EmptyGenerators, KindMismatch, MembershipError
 
-from helpers import brute_closure, brute_closure_dim, elem_matrix, flatten
+from helpers import DenseSpan, brute_closure, brute_closure_dim, elem_matrix, flatten
 
 Q = Fraction
 
@@ -142,7 +145,17 @@ def test_rule_rows_match_full_basis_scan(kind):
             entries = _pair_bracket(a, b)
             if entries:
                 full[ib] = tuple((basis.index(r), c) for r, c in entries)
-        assert rules.row(ia) == full, a
+        row = rules.row(ia)
+        assert row == full, a
+        assert all(type(c) is int for ent in row.values() for _, c in ent), a
+
+
+def test_rule_rows_reject_non_integer_structure_constants(monkeypatch):
+    import structcon.algebra as algebra
+
+    monkeypatch.setattr(algebra, "_pair_bracket", lambda a, b: [(a, Q(1, 2))])
+    with pytest.raises(ArithmeticError):
+        _Rules(so(3)).row(0)
 
 
 def _elements(kind, max_terms=4):
@@ -248,6 +261,73 @@ def test_closure_steps_zero_for_closed_set():
     full = [AlgebraElement.build(g2, [(b, 1)]) for b in canonical_basis(g2)]
     _, dim, steps = lie_closure(full)
     assert dim == 4 and steps == 0
+
+
+def _dense_su6_drift():
+    k = su(6)
+    return AlgebraElement.build(k, [(BasisElement("B", i, j), (7 * i + 3 * j) % 9 + 1)
+                                    for i in range(1, 6) for j in range(i + 1, 7)])
+
+
+@pytest.mark.parametrize("gens,expected", [
+    (lambda: [_dense_su6_drift(), unit(su(6), "C", 1, 2)], (35, 3)),
+    (lambda: [unit(gl(6), "E", i, i % 6 + 1) for i in range(1, 7)] + [unit(gl(6), "E", 1, 1)],
+     (36, 2)),
+    (lambda: [unit(su(8), "B", i, i + 1) for i in range(1, 8)]
+     + [AlgebraElement.basis(su(8), "C", 1, 2, Q(3, 7))], (63, 2)),
+], ids=["dense-su6", "gl6-cycle", "su8-path"])
+def test_closure_counters_pinned_and_scale_invariant(gens, expected):
+    # (dim, steps) as the sweep engine gives them; rescaling the generators changes neither
+    basis, dim, steps = lie_closure(gens())
+    assert (dim, steps) == expected
+    scaled, dim_s, steps_s = lie_closure([g.scale(Q(-5, 3)) for g in gens()])
+    assert scaled == basis and (dim_s, steps_s) == expected
+
+
+_RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def _vectors(draw):
+    """A kind's dimension, sparse Fraction vectors in its coordinates, and
+    probe vectors: one drawn freely, one a combination of the others."""
+    dim = draw(st.sampled_from([su(3), gl(3)])).dimension
+    vec = st.dictionaries(st.integers(0, dim - 1), _RATIOS, max_size=4)
+    vecs = [{k: c for k, c in v.items() if c} for v in draw(st.lists(vec, max_size=10))]
+    combo: dict[int, Fraction] = {}
+    for v in vecs:
+        f = draw(_RATIOS)
+        for k, c in v.items():
+            combo[k] = combo.get(k, Q(0)) + f * c
+    free = {k: c for k, c in draw(vec).items() if c}
+    return dim, vecs, [free, {k: c for k, c in combo.items() if c}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_vectors())
+def test_echelon_matches_dense_span(data):
+    dim, vecs, probes = data
+    ech, ref = _Echelon(), DenseSpan()
+
+    def dense(v):
+        return [v.get(k, Q(0)) for k in range(dim)]
+
+    for v in vecs:
+        assert ech.insert(_integral(v)) == ref.insert(dense(v))
+        assert ech.rank == ref.rank
+    for v in probes:
+        assert ech.contains(_integral(v)) == ref.contains(dense(v))
+    assert ech.contains(_integral(probes[1]))
+    pivots = sorted(ech.rows)
+    rows = ech.ordered_rows()
+    assert len(rows) == ref.rank
+    for p, row in zip(pivots, rows):
+        assert min(row) == p and row[p] == 1
+        assert not any(q in row for q in pivots if q != p)
+        assert ref.contains(dense(row))
+    for p, row in ech.rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
 
 
 def test_contains_sl():
