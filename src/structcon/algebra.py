@@ -19,9 +19,11 @@ applied by one vector routine, which both `bracket` and `LieClosure` call.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -493,10 +495,11 @@ class _Rules:
     Row a maps each basis index b with [a, b] != 0 to that bracket as
     (index, coefficient) pairs, the coefficients as `int`.  Elements on
     disjoint node pairs commute, so a row scans only the elements sharing a
-    node with a, and is built the first time a bracket needs it.
+    node with a, and is built the first time a bracket needs it.  `nodes[a]`
+    is the bit mask of a's nodes (D_1k counts node 1 and node k).
     """
 
-    __slots__ = ("basis", "index", "by_node", "rows")
+    __slots__ = ("basis", "index", "by_node", "nodes", "rows")
 
     def __init__(self, kind: AlgebraKind):
         self.basis = canonical_basis(kind)
@@ -506,6 +509,7 @@ class _Rules:
             self.by_node[b.i].append(k)
             if b.j != b.i:
                 self.by_node[b.j].append(k)
+        self.nodes = [(1 << b.i) | (1 << b.j) for b in self.basis]
         self.rows: list[_Row | None] = [None] * len(self.basis)
 
     def row(self, ia: int) -> _Row:
@@ -680,10 +684,15 @@ class SpanBasis:
 class LieClosure:
     """Incremental bracket-closure state.
 
-    Newly inserted vectors are bracketed against every vector seen so far,
-    sweep by sweep, until the span stabilizes or fills the whole algebra.
-    The state can be copied cheaply and extended with more generators, which
-    the sampling oracle uses to share the control-set closure across trials.
+    The closure runs sweep by sweep.  In a sweep, each frontier vector (a new
+    generator, or a vector the previous sweep inserted) is bracketed with the
+    vectors spanning the state when its turn starts, and each bracket that
+    raises the rank joins them and the next frontier, until the span
+    stabilizes or fills the whole algebra.  Each unordered pair is bracketed
+    at most once: [y, x] = -[x, y] lies in a span that only grows.  Pairs on
+    disjoint node sets are skipped, since such elements commute.  The state
+    can be copied cheaply and extended with more generators, which the
+    sampling oracle uses to share the control-set closure across trials.
     """
 
     def __init__(self, kind: AlgebraKind):
@@ -691,9 +700,12 @@ class LieClosure:
         self.dim = kind.dimension
         self.rules = _rules(kind)
         self.ech = _Echelon()
-        # primitive integer vectors
+        # primitive integer vectors and the bit masks of their nodes
         self.spanning: list[dict[int, int]] = []
-        self.frontier: list[dict[int, int]] = []
+        self.masks: list[int] = []
+        # reach[k]: len(spanning) when vector k's turn started; the vectors
+        # past len(reach) have had no turn yet and form the frontier
+        self.reach: list[int] = []
         self.steps = 0
 
     def copy(self) -> "LieClosure":
@@ -704,7 +716,8 @@ class LieClosure:
         new.ech = _Echelon()
         new.ech.rows = dict(self.ech.rows)
         new.spanning = list(self.spanning)
-        new.frontier = list(self.frontier)
+        new.masks = list(self.masks)
+        new.reach = list(self.reach)
         new.steps = self.steps
         return new
 
@@ -712,35 +725,45 @@ class LieClosure:
     def rank(self) -> int:
         return self.ech.rank
 
+    def _push(self, vec: dict[int, int]) -> None:
+        nodes = self.rules.nodes
+        mask = 0
+        for idx in vec:
+            mask |= nodes[idx]
+        self.spanning.append(vec)
+        self.masks.append(mask)
+
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
         for e in elements:
             if e.kind != self.kind:
                 raise KindMismatch(f"generator of {e.kind} in a {self.kind} closure")
             vec = _integral(e.to_vector())
             if self.ech.insert(vec):
-                self.spanning.append(vec)
-                self.frontier.append(vec)
+                self._push(vec)
 
     def run(self) -> None:
+        spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
         # a sweep yields a frontier only when the rank grew, so this terminates
-        while self.frontier and self.ech.rank < self.dim:
-            produced: list[dict[int, int]] = []
-            for x in self.frontier:
-                for y in list(self.spanning):
-                    if x is y:
-                        continue
-                    z = _bracket_vec(x, y, self.rules)
-                    if z and self.ech.insert(z):
-                        z = _primitive(z)
-                        self.spanning.append(z)
-                        produced.append(z)
-                        if self.ech.rank == self.dim:
-                            break
-                if self.ech.rank == self.dim:
+        while len(reach) < len(spanning) and ech.rank < self.dim:
+            end = len(spanning)
+            for ix in range(len(reach), end):
+                x, mx, stop = spanning[ix], masks[ix], len(spanning)
+                # vectors first..ix-1 met x in their own turn, so [x, y] =
+                # -[y, x] is in the span; reach never decreases, so they are
+                # the earlier vectors whose reach exceeds ix
+                first = bisect_right(reach, ix)
+                reach.append(stop)
+                for iy in chain(range(first), range(ix + 1, stop)):
+                    if mx & masks[iy]:
+                        z = _bracket_vec(x, spanning[iy], self.rules)
+                        if z and ech.insert(z):
+                            self._push(_primitive(z))
+                            if ech.rank == self.dim:
+                                break
+                if ech.rank == self.dim:
                     break
-            if produced:
+            if len(spanning) > end:
                 self.steps += 1
-            self.frontier = produced
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())

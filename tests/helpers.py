@@ -3,7 +3,8 @@
 Everything here works on dense complex-rational matrices (entries are
 (re, im) Fraction pairs) with plain all-pairs commutator sweeps and dense
 Gaussian elimination.  None of it shares code with the package's sparse
-structure-constant route, so the two can check each other.
+structure-constant route, so the two can check each other; the one exception
+is `reference_sweep`, which checks the closure loop alone.
 """
 
 from fractions import Fraction
@@ -190,32 +191,108 @@ def brute_odd_red_cycle(g: ColoredMultigraph) -> bool:
 
 def random_pair(rng):
     """Random zero-pattern pair over so/gl/su with n in 2..5."""
-    from structcon.algebra import AlgebraElement, BasisElement, gl, so, su
+    family = rng.choice(("so", "gl", "su"))
+    return random_kind_pair(rng, family, rng.randint(2, 5))
+
+
+def random_kind_pair(rng, family, n):
+    """Random zero-pattern pair over so(n), gl(n) or su(n): 1-6 control bases
+    and 1-3 drift bases of 1-3 terms, coefficients +-1..+-4."""
+    from structcon.algebra import AlgebraElement, gl, so, su
     from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
 
-    family = rng.choice(("so", "gl", "su"))
-    n = rng.randint(2, 5)
-    if family == "so":
-        kind = so(n)
-        candidates = [BasisElement("B", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    elif family == "gl":
-        kind = gl(n)
-        candidates = [BasisElement("E", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    else:
-        kind = su(n)
-        candidates = [BasisElement(t, i, j) for t in "BCD"
-                      for i in range(1, n) for j in range(i + 1, n + 1)]
-
+    kind = {"so": so, "gl": gl, "su": su}[family](n)
+    candidates = kind_candidates(kind)
     control = rng.sample(candidates, rng.randint(1, min(6, len(candidates))))
     bases = []
     for _ in range(rng.randint(1, 3)):
-        picks = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
-        coeffs = [rng.choice([c for c in range(-4, 5) if c]) for _ in picks]
-        base = AlgebraElement.build(kind, list(zip(picks, coeffs)))
-        assert not base.is_zero
+        base = AlgebraElement.zero(kind)
+        while base.is_zero:  # D terms can cancel after canonicalization
+            picks = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
+            coeffs = [rng.choice([c for c in range(-4, 5) if c]) for _ in picks]
+            base = AlgebraElement.build(kind, list(zip(picks, coeffs)))
         bases.append(base)
     return ZeroPatternPair(DriftPattern(kind, tuple(bases)),
                            ControlPattern(kind, tuple(control)))
+
+
+def kind_candidates(kind):
+    """Every admissible basis element of kind with i < j (E: every i, j)."""
+    from structcon.algebra import BasisElement
+
+    n = kind.n
+    return [BasisElement(t, i, j) for t in "BCDE" if kind.admits(t)
+            for i in range(1, n + 1) for j in range(1, n + 1) if i < j or t == "E"]
+
+
+def relabel(pair, perm):
+    """The same pair with node k renamed perm[k], drift bases in order.
+
+    Renaming is conjugation by a permutation matrix, an automorphism of each
+    algebra; B_ji = -B_ij, C_ji = C_ij and D_ji = -D_ij bring a moved element
+    back to i < j.
+    """
+    from structcon.algebra import AlgebraElement, BasisElement
+    from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
+
+    kind = pair.kind
+
+    def move(b, c):
+        i, j = perm[b.i], perm[b.j]
+        if b.tag != "E" and i > j:
+            return BasisElement(b.tag, j, i), (c if b.tag == "C" else -c)
+        return BasisElement(b.tag, i, j), c
+
+    bases = tuple(AlgebraElement.build(kind, [move(b, c) for b, c in base.items()])
+                  for base in pair.drift.bases)
+    control = tuple(move(b, 1)[0] for b in pair.control.bases)
+    return ZeroPatternPair(DriftPattern(kind, bases), ControlPattern(kind, control))
+
+
+# ---------------------------------------------------------------------------
+# the closure sweep as first written
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep(kind, batches):
+    """Closure by the literal sweep: every frontier vector bracketed with every
+    vector spanning the state when its turn starts, repeats included.
+
+    Each batch of generators is added and closed in turn, as the oracle
+    extends a copied control closure.  Unlike the rest of this module it
+    reuses the package's bracket and echelon, so that only the loop differs.
+    Returns (spanning vectors, steps, rank).
+    """
+    from structcon.algebra import _bracket_vec, _Echelon, _integral, _primitive, _rules
+
+    rules, dim = _rules(kind), kind.dimension
+    ech = _Echelon()
+    spanning, frontier, steps = [], [], 0
+    for batch in batches:
+        for e in batch:
+            vec = _integral(e.to_vector())
+            if ech.insert(vec):
+                spanning.append(vec)
+                frontier.append(vec)
+        while frontier and ech.rank < dim:
+            produced = []
+            for x in frontier:
+                for y in list(spanning):
+                    if x is y:
+                        continue
+                    z = _bracket_vec(x, y, rules)
+                    if z and ech.insert(z):
+                        z = _primitive(z)
+                        spanning.append(z)
+                        produced.append(z)
+                        if ech.rank == dim:
+                            break
+                if ech.rank == dim:
+                    break
+            if produced:
+                steps += 1
+            frontier = produced
+    return spanning, steps, ech.rank
 
 
 def witness_is_odd_red_cycle(witness) -> bool:

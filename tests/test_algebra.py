@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structcon import algebra
 from structcon.algebra import (
     AlgebraElement,
     BasisElement,
@@ -19,6 +20,7 @@ from structcon.algebra import (
     contains_sl,
     decompose,
     gl,
+    LieClosure,
     lie_closure,
     so,
     su,
@@ -26,7 +28,15 @@ from structcon.algebra import (
 )
 from structcon.errors import EmptyGenerators, KindMismatch, MembershipError
 
-from helpers import DenseSpan, brute_closure, brute_closure_dim, elem_matrix, flatten
+from helpers import (
+    DenseSpan,
+    brute_closure,
+    brute_closure_dim,
+    elem_matrix,
+    flatten,
+    kind_candidates,
+    reference_sweep,
+)
 
 Q = Fraction
 
@@ -269,19 +279,78 @@ def _dense_su6_drift():
                                     for i in range(1, 6) for j in range(i + 1, 7)])
 
 
-@pytest.mark.parametrize("gens,expected", [
-    (lambda: [_dense_su6_drift(), unit(su(6), "C", 1, 2)], (35, 3)),
+def _bracket_log(monkeypatch):
+    """Record the (x, y, rules) arguments of every bracket the closure evaluates."""
+    log = []
+    original = algebra._bracket_vec
+
+    def counted(x, y, rules):
+        log.append((x, y, rules))
+        return original(x, y, rules)
+
+    monkeypatch.setattr(algebra, "_bracket_vec", counted)
+    return log
+
+
+def _assert_pairs_pruned(log):
+    """One run bracketed no unordered pair twice and no pair on disjoint nodes."""
+    pairs = [frozenset((id(x), id(y))) for x, y, _ in log]
+    assert len(set(pairs)) == len(pairs)
+    for x, y, rules in log:
+        nodes_x, nodes_y = ({n for idx in v for n in (rules.basis[idx].i, rules.basis[idx].j)}
+                            for v in (x, y))
+        assert nodes_x & nodes_y
+
+
+@pytest.mark.parametrize("gens,expected,brackets", [
+    (lambda: [_dense_su6_drift(), unit(su(6), "C", 1, 2)], (35, 3), 38),
     (lambda: [unit(gl(6), "E", i, i % 6 + 1) for i in range(1, 7)] + [unit(gl(6), "E", 1, 1)],
-     (36, 2)),
+     (36, 2), 87),
     (lambda: [unit(su(8), "B", i, i + 1) for i in range(1, 8)]
-     + [AlgebraElement.basis(su(8), "C", 1, 2, Q(3, 7))], (63, 2)),
+     + [AlgebraElement.basis(su(8), "C", 1, 2, Q(3, 7))], (63, 2), 479),
 ], ids=["dense-su6", "gl6-cycle", "su8-path"])
-def test_closure_counters_pinned_and_scale_invariant(gens, expected):
-    # (dim, steps) as the sweep engine gives them; rescaling the generators changes neither
+def test_closure_counters_pinned_and_scale_invariant(gens, expected, brackets, monkeypatch):
+    # (dim, steps) as the sweep engine gives them, and the brackets it
+    # evaluates; rescaling the generators changes none of them
+    log = _bracket_log(monkeypatch)
     basis, dim, steps = lie_closure(gens())
     assert (dim, steps) == expected
+    _assert_pairs_pruned(log)
+    assert len(log) == brackets
+    log.clear()
     scaled, dim_s, steps_s = lie_closure([g.scale(Q(-5, 3)) for g in gens()])
     assert scaled == basis and (dim_s, steps_s) == expected
+    assert len(log) == brackets
+
+
+@st.composite
+def _generator_sets(draw):
+    """A kind, 1-4 generators of 1-3 terms with coefficients +-1..+-3, and
+    one more generator."""
+    kind = draw(st.sampled_from([so(4), gl(3), su(4)]))
+    terms = st.lists(st.tuples(st.sampled_from(kind_candidates(kind)),
+                               st.sampled_from([-3, -2, -1, 1, 2, 3])), min_size=1, max_size=3)
+    gens = [AlgebraElement.build(kind, t) for t in draw(st.lists(terms, min_size=1, max_size=4))]
+    return kind, gens, AlgebraElement.build(kind, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_generator_sets())
+def test_closure_matches_reference_sweep(data):
+    # same inserted vectors in the same order, same steps and rank, both for
+    # one closure and for the oracle's copy-extend-run pattern
+    kind, gens, extra = data
+    state = LieClosure(kind)
+    state.add_generators(gens)
+    state.run()
+    base = reference_sweep(kind, [gens])
+    assert (state.spanning, state.steps, state.rank) == base
+    extended = state.copy()
+    extended.add_generators([extra])
+    extended.run()
+    assert (extended.spanning, extended.steps, extended.rank) == reference_sweep(kind, [gens, [extra]])
+    # the copy shares nothing that its run changes with the base state
+    assert (state.spanning, state.steps, state.rank) == base
 
 
 _RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -1,0 +1,54 @@
+"""Metamorphic invariants of the checker and the oracle on seeded random pairs.
+
+Renaming the nodes is an automorphism of so(n), gl(n) and su(n), so it keeps
+every verdict and every closure dimension.  A larger control set generates a
+larger algebra, so adding a control base never lowers a dimension and never
+turns a Yes into a No.
+"""
+
+import random
+
+import pytest
+
+from structcon.patterns import ControlPattern, ZeroPatternPair
+from structcon.verdict import Verdict, check, oracle
+
+from helpers import kind_candidates, random_kind_pair, relabel
+
+KINDS = [("so", 4), ("so", 5), ("gl", 3), ("gl", 4), ("su", 3), ("su", 4)]
+PAIRS_PER_KIND = 30
+TRIALS = 4
+
+YES = (Verdict.SUFFICIENT_YES, Verdict.EXACT_YES)
+NO = (Verdict.EXACT_NO, Verdict.NECESSARY_FAILED_NO)
+
+
+def _cases(family, n, seed):
+    rng = random.Random(seed)
+    for k in range(PAIRS_PER_KIND):
+        yield k, random_kind_pair(rng, family, n), rng
+
+
+@pytest.mark.parametrize("family,n", KINDS)
+def test_relabelling_nodes_keeps_verdict_and_dimensions(family, n):
+    for k, pair, rng in _cases(family, n, 1009 * n + len(family)):
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        moved = relabel(pair, dict(zip(range(1, n + 1), image)))
+        assert check(moved).verdict is check(pair).verdict, (k, image)
+        assert (oracle(moved, TRIALS, seed=k).dimensions
+                == oracle(pair, TRIALS, seed=k).dimensions), (k, image)
+
+
+@pytest.mark.parametrize("family,n", KINDS)
+def test_adding_a_control_base_is_monotone(family, n):
+    for k, pair, rng in _cases(family, n, 2003 * n + len(family)):
+        spare = [b for b in kind_candidates(pair.kind) if b not in pair.control.bases]
+        if not spare:
+            continue
+        control = ControlPattern(pair.kind, (*pair.control.bases, rng.choice(spare)))
+        bigger = ZeroPatternPair(pair.drift, control)
+        before, after = oracle(pair, TRIALS, seed=k), oracle(bigger, TRIALS, seed=k)
+        assert all(a >= b for a, b in zip(after.dimensions, before.dimensions)), k
+        if check(pair).verdict in YES:
+            assert check(bigger).verdict not in NO, k
