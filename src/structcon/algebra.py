@@ -14,6 +14,11 @@ basis, and once by multiplying exact complex-rational matrices.  The two
 routes are kept deliberately independent so that each can check the other.
 The structure constants are built per basis element on first use and
 applied by one vector routine, which both `bracket` and `LieClosure` call.
+
+The family of an algebra matters here only through the basis tags it admits
+(`_ADMITTED`): the basis, its order and the dimension are built tag by tag.
+Only the matrix route (`decompose`) and the gl-only `contains_sl` test the
+family itself; graph types live in `graphs`, checkers in `verdict`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class Family(Enum):
     SU = "su"
 
 
-# basis tags admitted by each family
+# basis tags admitted by each family, in canonical basis order
 _ADMITTED = {Family.SO: "B", Family.GL: "E", Family.SU: "BCD"}
 
 # kinds whose basis, index and rule rows stay cached at once; a long-lived
@@ -61,12 +66,7 @@ class AlgebraKind:
 
     @property
     def dimension(self) -> int:
-        n = self.n
-        if self.family is Family.SO:
-            return n * (n - 1) // 2
-        if self.family is Family.GL:
-            return n * n
-        return n * n - 1
+        return sum(_tag_size(tag, self.n) for tag in _ADMITTED[self.family])
 
     def admits(self, tag: str) -> bool:
         return tag in _ADMITTED[self.family]
@@ -117,19 +117,30 @@ def validate_basis_element(kind: AlgebraKind, b: BasisElement) -> None:
         raise KindMismatch(f"{b} is out of range for {kind}")
 
 
+def _tag_size(tag: str, n: int) -> int:
+    """Number of canonical basis elements with one tag at size n."""
+    if tag == "D":
+        return n - 1
+    if tag == "E":
+        return n * n
+    return n * (n - 1) // 2
+
+
+def _tag_basis(tag: str, n: int) -> list[BasisElement]:
+    """The canonical basis elements of one tag: D_12..D_1n, E row-major,
+    B or C lexicographic over i < j."""
+    if tag == "D":
+        return [BasisElement("D", 1, k) for k in range(2, n + 1)]
+    if tag == "E":
+        return [BasisElement("E", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return [BasisElement(tag, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+
+
 @functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
 def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
-    """Ordered basis: B lexicographic, then C, then D_12..D_1n, then E row-major."""
-    n = kind.n
-    out: list[BasisElement] = []
-    if kind.family in (Family.SO, Family.SU):
-        out += [BasisElement("B", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    if kind.family is Family.SU:
-        out += [BasisElement("C", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        out += [BasisElement("D", 1, k) for k in range(2, n + 1)]
-    if kind.family is Family.GL:
-        out += [BasisElement("E", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return tuple(out)
+    """Ordered basis over the admitted tags: B lexicographic, then C, then
+    D_12..D_1n, then E row-major."""
+    return tuple(b for tag in _ADMITTED[kind.family] for b in _tag_basis(tag, kind.n))
 
 
 @functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
@@ -191,9 +202,6 @@ class AlgebraElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def support(self, tag: str) -> list[tuple[BasisElement, Fraction]]:
-        return [(b, c) for b, c in self.items() if b.tag == tag]
 
     def scale(self, c: Fraction | int) -> "AlgebraElement":
         c = Fraction(c)

@@ -9,11 +9,13 @@ closures that mirror bracketing against a single generator.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable, TypeVar
 
 from .errors import HasSelfLoop, NotSimple
 from .graphs import Color, ColoredMultigraph, Digraph, UndirectedGraph
 
 OddRedWitness = tuple[tuple[int, int, Color], ...]
+_G = TypeVar("_G", Digraph, ColoredMultigraph)
 
 
 def _joining_pairs(g: UndirectedGraph | ColoredMultigraph) -> set[tuple[int, int]]:
@@ -51,7 +53,7 @@ def is_connected(g: UndirectedGraph | ColoredMultigraph) -> bool:
     return len(components(g)) == 1
 
 
-def _reachable(n: int, adj: dict[int, set[int]], start: int) -> set[int]:
+def _reachable(adj: dict[int, set[int]], start: int) -> set[int]:
     seen = {start}
     queue = deque([start])
     while queue:
@@ -63,18 +65,19 @@ def _reachable(n: int, adj: dict[int, set[int]], start: int) -> set[int]:
     return seen
 
 
-def strongly_connected(g: Digraph) -> bool:
-    """Every ordered node pair mutually reachable; self-loops are ignored."""
-    if g.n == 1:
-        return True
-    fwd: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    back: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+def strongly_connected(g: Digraph, nodes: frozenset[int] | None = None) -> bool:
+    """Every ordered pair of nodes (default all of 1..n) mutually reachable
+    along arcs among those nodes; self-loops are ignored."""
+    if nodes is None:
+        nodes = frozenset(range(1, g.n + 1))
+    fwd: dict[int, set[int]] = {v: set() for v in nodes}
+    back: dict[int, set[int]] = {v: set() for v in nodes}
     for i, j in g.arcs:
-        if i != j:
+        if i != j and i in nodes and j in nodes:
             fwd[i].add(j)
             back[j].add(i)
-    full = set(range(1, g.n + 1))
-    return _reachable(g.n, fwd, 1) == full and _reachable(g.n, back, 1) == full
+    rep = min(nodes)
+    return _reachable(fwd, rep) == nodes and _reachable(back, rep) == nodes
 
 
 def weak_components(g: Digraph) -> list[frozenset[int]]:
@@ -193,18 +196,21 @@ def closure_step_M(g: Digraph) -> Digraph:
     return Digraph(g.n, frozenset(new))
 
 
-def iterate_M(g: Digraph) -> tuple[Digraph, int]:
-    """Fixpoint of the digraph closure map and the productive step count."""
-    steps = 0
-    cap = g.n * g.n  # safety bound; the edge set is monotone and bounded
-    current = g
-    for _ in range(cap):
-        nxt = closure_step_M(current)
+def _fixpoint(step: Callable[[_G], _G], g: _G) -> tuple[_G, int]:
+    """Apply a monotone closure step until nothing changes; returns the
+    fixpoint and the number of productive steps."""
+    current, steps = g, 0
+    for _ in range(g.n * g.n):  # safety bound; the edge set is monotone and bounded
+        nxt = step(current)
         if nxt == current:
             break
-        current = nxt
-        steps += 1
+        current, steps = nxt, steps + 1
     return current, steps
+
+
+def iterate_M(g: Digraph) -> tuple[Digraph, int]:
+    """Fixpoint of the digraph closure map and the productive step count."""
+    return _fixpoint(closure_step_M, g)
 
 
 def is_simple_complete(g: Digraph) -> bool:
@@ -240,16 +246,8 @@ def closure_step_T(g: ColoredMultigraph) -> ColoredMultigraph:
 
 
 def iterate_T(g: ColoredMultigraph) -> tuple[ColoredMultigraph, int]:
-    steps = 0
-    cap = g.n * g.n
-    current = g
-    for _ in range(cap):
-        nxt = closure_step_T(current)
-        if nxt == current:
-            break
-        current = nxt
-        steps += 1
-    return current, steps
+    """Fixpoint of the colored closure map and the productive step count."""
+    return _fixpoint(closure_step_T, g)
 
 
 # ---------------------------------------------------------------------------

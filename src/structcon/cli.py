@@ -36,8 +36,6 @@ from .patterns import (
     sample_drift,
 )
 
-_FAMILIES = {"so": Family.SO, "gl": Family.GL, "su": Family.SU}
-
 
 def _want(doc: Any, key: str, types: type | tuple, where: str) -> Any:
     if not isinstance(doc, dict) or key not in doc:
@@ -74,11 +72,13 @@ def parse_spec(text: str) -> ZeroPatternPair:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     algebra = _want(doc, "algebra", str, "document")
-    if algebra not in _FAMILIES:
-        raise ParseError(f"document: unknown algebra {algebra!r} (expected so, gl or su)")
+    try:
+        family = Family(algebra)
+    except ValueError:
+        raise ParseError(f"document: unknown algebra {algebra!r} (expected so, gl or su)") from None
     n = _want(doc, "n", int, "document")
     try:
-        kind = AlgebraKind(_FAMILIES[algebra], n)
+        kind = AlgebraKind(family, n)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 

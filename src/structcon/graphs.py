@@ -3,6 +3,10 @@
 Nodes are 1..n throughout.  Pattern graphs are built from the pattern base
 elements, never from a sampled drift, so cancellation in a sample can only
 remove edges relative to the pattern graph.
+
+Every builder reads its input as (tag, i, j) pairs, whatever the family; the
+family matters only in `_graph`, which picks the graph type: undirected over
+so(n), directed over gl(n), edge-colored over su(n).
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, Family
-from .errors import KindMismatch, SizeMismatch
+from .algebra import AlgebraElement, AlgebraKind, Family
+from .errors import SizeMismatch
 from .patterns import ControlPattern, DriftPattern
 
 
@@ -81,135 +85,72 @@ Graph = UndirectedGraph | Digraph | ColoredMultigraph
 
 
 # ---------------------------------------------------------------------------
-# support read-off for single elements
+# support read-off and the pattern graphs
 # ---------------------------------------------------------------------------
 
-
-def matrix_graph_so(e: AlgebraElement) -> UndirectedGraph:
-    """Edge per nonzero skew-symmetric pair."""
-    if e.kind.family is not Family.SO:
-        raise KindMismatch(f"expected an so(n) element, got {e.kind}")
-    return UndirectedGraph.of(e.kind.n, ((b.i, b.j) for b, _ in e.support("B")))
+_COLOR = {"B": Color.BLUE, "C": Color.RED, "D": Color.GREEN}
 
 
-def matrix_graph_gl(e: AlgebraElement) -> Digraph:
-    """Arc per nonzero matrix entry; diagonal entries become self-loops."""
-    if e.kind.family is not Family.GL:
-        raise KindMismatch(f"expected a gl(n) element, got {e.kind}")
-    return Digraph.of(e.kind.n, ((b.i, b.j) for b, _ in e.support("E")))
+def _graph(kind: AlgebraKind, pairs: Iterable[tuple[str, int, int]]) -> Graph:
+    """The graph of kind's family on (tag, i, j) pairs, the one place this
+    module dispatches on the family: an edge per pair over so(n), an arc per
+    pair over gl(n) (diagonal units become self-loops), and over su(n) a
+    blue, red or green edge per B, C or D pair (D pairs are loops (k, k))."""
+    n = kind.n
+    if kind.family is Family.SO:
+        return UndirectedGraph.of(n, ((i, j) for _, i, j in pairs))
+    if kind.family is Family.GL:
+        return Digraph.of(n, ((i, j) for _, i, j in pairs))
+    return ColoredMultigraph.of(n, ((i, j, _COLOR[tag]) for tag, i, j in pairs))
 
 
-def _diagonal_support(e: AlgebraElement) -> set[int]:
-    # imaginary diagonal of the stored element; D_1k contributes +1 at node 1
-    # and -1 at node k, so cancellation at node 1 is possible
+def _support_pairs(e: AlgebraElement) -> list[tuple[str, int, int]]:
+    """(tag, i, j) per nonzero B, C or E coordinate, and a loop (D, k, k) per
+    nonzero entry of the imaginary diagonal.
+
+    D_1k contributes +1 at node 1 and -1 at node k, so the diagonal entry at
+    node 1 can cancel.
+    """
+    pairs = []
     diag: dict[int, Fraction] = {}
-    for b, c in e.support("D"):
-        diag[b.i] = diag.get(b.i, Fraction(0)) + c
-        diag[b.j] = diag.get(b.j, Fraction(0)) - c
-    return {k for k, v in diag.items() if v}
-
-
-def matrix_graph_su(e: AlgebraElement) -> ColoredMultigraph:
-    """Blue for B support, red for C support, green loops at nonzero diagonal."""
-    if e.kind.family is not Family.SU:
-        raise KindMismatch(f"expected an su(n) element, got {e.kind}")
-    triples: list[tuple[int, int, Color]] = []
-    triples += [(b.i, b.j, Color.BLUE) for b, _ in e.support("B")]
-    triples += [(b.i, b.j, Color.RED) for b, _ in e.support("C")]
-    triples += [(k, k, Color.GREEN) for k in _diagonal_support(e)]
-    return ColoredMultigraph.of(e.kind.n, triples)
+    for b, c in e.items():
+        if b.tag == "D":
+            diag[b.i] = diag.get(b.i, 0) + c
+            diag[b.j] = diag.get(b.j, 0) - c
+        else:
+            pairs.append((b.tag, b.i, b.j))
+    return pairs + [("D", k, k) for k, v in diag.items() if v]
 
 
 def matrix_graph(e: AlgebraElement) -> Graph:
-    family = e.kind.family
-    if family is Family.SO:
-        return matrix_graph_so(e)
-    if family is Family.GL:
-        return matrix_graph_gl(e)
-    return matrix_graph_su(e)
-
-
-# ---------------------------------------------------------------------------
-# pattern graphs
-# ---------------------------------------------------------------------------
-
-
-def drift_graph_so(p: DriftPattern) -> UndirectedGraph:
-    if p.kind.family is not Family.SO:
-        raise KindMismatch(f"expected an so(n) drift pattern, got {p.kind}")
-    graphs = [matrix_graph_so(a) for a in p.bases]
-    return UndirectedGraph(p.kind.n, frozenset().union(*(g.edges for g in graphs)))
-
-
-def contr_graph_so(p: ControlPattern) -> UndirectedGraph:
-    if p.kind.family is not Family.SO:
-        raise KindMismatch(f"expected an so(n) control pattern, got {p.kind}")
-    return UndirectedGraph.of(p.kind.n, ((b.i, b.j) for b in p.bases))
-
-
-def drift_graph_gl(p: DriftPattern) -> Digraph:
-    if p.kind.family is not Family.GL:
-        raise KindMismatch(f"expected a gl(n) drift pattern, got {p.kind}")
-    graphs = [matrix_graph_gl(a) for a in p.bases]
-    return Digraph(p.kind.n, frozenset().union(*(g.arcs for g in graphs)))
-
-
-def contr_graph_gl(p: ControlPattern) -> Digraph:
-    if p.kind.family is not Family.GL:
-        raise KindMismatch(f"expected a gl(n) control pattern, got {p.kind}")
-    return Digraph.of(p.kind.n, ((b.i, b.j) for b in p.bases))
-
-
-def drift_graph_su(p: DriftPattern) -> ColoredMultigraph:
-    if p.kind.family is not Family.SU:
-        raise KindMismatch(f"expected an su(n) drift pattern, got {p.kind}")
-    graphs = [matrix_graph_su(a) for a in p.bases]
-    return ColoredMultigraph(p.kind.n, frozenset().union(*(g.edges for g in graphs)))
-
-
-def contr_graph_su(p: ControlPattern) -> ColoredMultigraph:
-    """Blue/red per B/C base; each D_ij base puts green loops at both i and j."""
-    if p.kind.family is not Family.SU:
-        raise KindMismatch(f"expected an su(n) control pattern, got {p.kind}")
-    triples: list[tuple[int, int, Color]] = []
-    for b in p.bases:
-        if b.tag == "B":
-            triples.append((b.i, b.j, Color.BLUE))
-        elif b.tag == "C":
-            triples.append((b.i, b.j, Color.RED))
-        else:
-            triples.append((b.i, b.i, Color.GREEN))
-            triples.append((b.j, b.j, Color.GREEN))
-    return ColoredMultigraph.of(p.kind.n, triples)
+    """The graph of one element's support."""
+    return _graph(e.kind, _support_pairs(e))
 
 
 def drift_graph(p: DriftPattern) -> Graph:
-    family = p.kind.family
-    if family is Family.SO:
-        return drift_graph_so(p)
-    if family is Family.GL:
-        return drift_graph_gl(p)
-    return drift_graph_su(p)
+    """Union of the graphs of the drift bases."""
+    return _graph(p.kind, [t for a in p.bases for t in _support_pairs(a)])
 
 
 def contr_graph(p: ControlPattern) -> Graph:
-    family = p.kind.family
-    if family is Family.SO:
-        return contr_graph_so(p)
-    if family is Family.GL:
-        return contr_graph_gl(p)
-    return contr_graph_su(p)
+    """Edge, arc or colored edge per control base; each D_ij base puts loops
+    at both i and j."""
+    pairs = []
+    for b in p.bases:
+        if b.tag == "D":
+            pairs += [("D", b.i, b.i), ("D", b.j, b.j)]
+        else:
+            pairs.append((b.tag, b.i, b.j))
+    return _graph(p.kind, pairs)
 
 
 def union(g1: Graph, g2: Graph) -> Graph:
     """Edge or arc set union of two graphs of the same type and size."""
     if type(g1) is not type(g2) or g1.n != g2.n:
         raise SizeMismatch("union needs two graphs of the same type and node count")
-    if isinstance(g1, UndirectedGraph):
-        return UndirectedGraph(g1.n, g1.edges | g2.edges)
     if isinstance(g1, Digraph):
         return Digraph(g1.n, g1.arcs | g2.arcs)
-    return ColoredMultigraph(g1.n, g1.edges | g2.edges)
+    return type(g1)(g1.n, g1.edges | g2.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +160,13 @@ def union(g1: Graph, g2: Graph) -> Graph:
 
 def to_dot(g: Graph) -> str:
     """Graphviz text with deterministic node and edge ordering."""
-    lines: list[str] = []
+    lines = ["digraph G {" if isinstance(g, Digraph) else "graph G {"]
+    lines += [f"  {v};" for v in range(1, g.n + 1)]
     if isinstance(g, Digraph):
-        lines.append("digraph G {")
-        lines += [f"  {v};" for v in range(1, g.n + 1)]
         lines += [f"  {i} -> {j};" for i, j in sorted(g.arcs)]
     elif isinstance(g, UndirectedGraph):
-        lines.append("graph G {")
-        lines += [f"  {v};" for v in range(1, g.n + 1)]
         lines += [f"  {i} -- {j};" for i, j in sorted(g.edges)]
     else:
-        lines.append("graph G {")
-        lines += [f"  {v};" for v in range(1, g.n + 1)]
         lines += [f"  {i} -- {j} [color={c.value}];"
                   for i, j, c in sorted(g.edges, key=lambda e: (e[0], e[1], e[2].value))]
     lines.append("}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, AlgebraKind, BasisElement, validate_basis_element
+from .algebra import AlgebraElement, AlgebraKind, BasisElement, Family, validate_basis_element
 from .errors import EmptyPool, KindMismatch, ValidationError
 
 DEFAULT_POOL: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(-9, 10) if k)
@@ -93,6 +93,6 @@ def control_generators(pattern: ControlPattern) -> list[AlgebraElement]:
 
 def drift_is_basis_subset(pattern: DriftPattern) -> bool:
     """True when every drift base is a single matrix unit (GL only)."""
-    if pattern.kind.family.value != "gl":
+    if pattern.kind.family is not Family.GL:
         raise KindMismatch(f"basis-subset drift test is defined over gl(n), not {pattern.kind}")
     return all(len(list(a.items())) == 1 for a in pattern.bases)

@@ -1,10 +1,11 @@
 """Verdicts: evaluate the graphical conditions on a zero-pattern pair and
 cross-check them against the exact rank oracle.
 
-The checkers only use pattern graphs.  The oracle samples rigid drifts,
-closes the generated subalgebra exactly, and reports the dimensions
-reached; a sufficient verdict that the oracle cannot confirm (or a negative
-verdict it refutes) raises the contradiction flag, which is a bug signal.
+The checkers only use pattern graphs; `check` picks the family's checker
+from one table.  The oracle samples rigid drifts, closes the generated
+subalgebra exactly, and reports the dimensions reached; a sufficient verdict
+that the oracle cannot confirm (or a negative verdict it refutes) raises the
+contradiction flag, which is a bug signal.
 """
 
 from __future__ import annotations
@@ -66,16 +67,16 @@ class Report:
     decided_by: str
 
 
-def _require(pair: ZeroPatternPair, family: Family, what: str) -> None:
-    if pair.kind.family is not family:
-        raise KindMismatch(f"{what} expects {family.value}(n) patterns, got {pair.kind}")
+def _require(kind: AlgebraKind, family: Family, what: str) -> None:
+    if kind.family is not family:
+        raise KindMismatch(f"{what} expects {family.value}(n) patterns, got {kind}")
 
 
 def check_so(pair: ZeroPatternPair) -> Report:
     """Connectivity conditions over SO(n)."""
-    _require(pair, Family.SO, "check_so")
-    contr = graphs.contr_graph_so(pair.control)
-    u = graphs.union(graphs.drift_graph_so(pair.drift), contr)
+    _require(pair.kind, Family.SO, "check_so")
+    contr = graphs.contr_graph(pair.control)
+    u = graphs.union(graphs.drift_graph(pair.drift), contr)
 
     union_connected = analysis.is_connected(u)
     comps_ok = all(len(c) >= 3 for c in analysis.components(contr))
@@ -94,27 +95,15 @@ def check_so(pair: ZeroPatternPair) -> Report:
     return Report(verdict, conditions, None, False, decided)
 
 
-def _component_strongly_connected(g: graphs.Digraph, comp: frozenset[int]) -> bool:
-    # arcs never leave a weak component, so plain BFS from one member suffices
-    fwd: dict[int, set[int]] = {v: set() for v in comp}
-    back: dict[int, set[int]] = {v: set() for v in comp}
-    for i, j in g.arcs:
-        if i != j and i in comp and j in comp:
-            fwd[i].add(j)
-            back[j].add(i)
-    rep = min(comp)
-    return comp <= analysis._reachable(g.n, fwd, rep) and comp <= analysis._reachable(g.n, back, rep)
-
-
 def check_gl(pair: ZeroPatternPair) -> Report:
     """Strong-connectivity and self-loop conditions over GL+(n)."""
-    _require(pair, Family.GL, "check_gl")
-    contr = graphs.contr_graph_gl(pair.control)
-    u = graphs.union(graphs.drift_graph_gl(pair.drift), contr)
+    _require(pair.kind, Family.GL, "check_gl")
+    contr = graphs.contr_graph(pair.control)
+    u = graphs.union(graphs.drift_graph(pair.drift), contr)
 
     union_strong = analysis.strongly_connected(u)
     comps = analysis.weak_components(contr)
-    comps_ok = all(len(c) >= 2 and _component_strongly_connected(contr, c) for c in comps)
+    comps_ok = all(len(c) >= 2 and analysis.strongly_connected(contr, c) for c in comps)
     contr_loop = bool(analysis.digraph_self_loops(contr))
     basis_drift = drift_is_basis_subset(pair.drift)
     union_loop = bool(analysis.digraph_self_loops(u))
@@ -141,9 +130,9 @@ def check_gl(pair: ZeroPatternPair) -> Report:
 
 def check_su(pair: ZeroPatternPair) -> Report:
     """Self-loop or odd-red-cycle conditions over SU(n)."""
-    _require(pair, Family.SU, "check_su")
-    drift = graphs.drift_graph_su(pair.drift)
-    contr = graphs.contr_graph_su(pair.control)
+    _require(pair.kind, Family.SU, "check_su")
+    drift = graphs.drift_graph(pair.drift)
+    contr = graphs.contr_graph(pair.control)
     u = graphs.union(drift, contr)
 
     contr_connected = analysis.is_connected(contr)
@@ -181,13 +170,12 @@ def check_su(pair: ZeroPatternPair) -> Report:
     return Report(verdict, conditions, None, False, decided)
 
 
+_CHECKERS = {Family.SO: check_so, Family.GL: check_gl, Family.SU: check_su}
+
+
 def check(pair: ZeroPatternPair) -> Report:
-    family = pair.kind.family
-    if family is Family.SO:
-        return check_so(pair)
-    if family is Family.GL:
-        return check_gl(pair)
-    return check_su(pair)
+    """The graph checker of the pair's family."""
+    return _CHECKERS[pair.kind.family](pair)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +185,15 @@ def check(pair: ZeroPatternPair) -> Report:
 
 def check_generated_so(s: ControlPattern) -> bool:
     """Generators span all of so(n) iff their graph is connected."""
-    if s.kind.family is not Family.SO:
-        raise KindMismatch(f"check_generated_so expects so(n), got {s.kind}")
-    return analysis.is_connected(graphs.contr_graph_so(s))
+    _require(s.kind, Family.SO, "check_generated_so")
+    return analysis.is_connected(graphs.contr_graph(s))
 
 
 def check_generated_gl(s: ControlPattern) -> GeneratedGl:
     """Full gl(n) needs strong connectivity plus a self-loop; strong
     connectivity alone yields exactly the traceless subalgebra."""
-    if s.kind.family is not Family.GL:
-        raise KindMismatch(f"check_generated_gl expects gl(n), got {s.kind}")
-    g = graphs.contr_graph_gl(s)
+    _require(s.kind, Family.GL, "check_generated_gl")
+    g = graphs.contr_graph(s)
     if not analysis.strongly_connected(g):
         return GeneratedGl.NEITHER
     return GeneratedGl.FULL if analysis.digraph_self_loops(g) else GeneratedGl.SL_ONLY
@@ -217,9 +203,8 @@ def check_generated_su(s: ControlPattern) -> bool:
     """Generators span su(n) iff the colored graph has two-plus colors with a
     spanning connected blue subgraph, or is connected with a self-loop, or is
     connected with an odd-red cycle."""
-    if s.kind.family is not Family.SU:
-        raise KindMismatch(f"check_generated_su expects su(n), got {s.kind}")
-    g = graphs.contr_graph_su(s)
+    _require(s.kind, Family.SU, "check_generated_su")
+    g = graphs.contr_graph(s)
     colors = {c for _, _, c in g.edges}
     blue = graphs.UndirectedGraph.of(g.n, ((i, j) for i, j, c in g.edges if c is graphs.Color.BLUE))
     if len(colors) >= 2 and analysis.is_connected(blue):

@@ -32,8 +32,8 @@ from structcon.graphs import (
     ColoredMultigraph,
     Digraph,
     UndirectedGraph,
-    drift_graph_gl,
-    matrix_graph_gl,
+    drift_graph,
+    matrix_graph,
 )
 from structcon.patterns import DEFAULT_POOL, ControlPattern, sample_drift
 from structcon.verdict import (
@@ -98,7 +98,7 @@ def test_criterion_1_golden_closures():
     noloop_pair = load_pair("gl4_pair_rings_no_loop")
     controls_noloop = [unit(g4, "E", 1, 2), unit(g4, "E", 2, 1),
                        unit(g4, "E", 3, 4), unit(g4, "E", 4, 3)]
-    pattern_arcs = drift_graph_gl(noloop_pair.drift).arcs
+    pattern_arcs = drift_graph(noloop_pair.drift).arcs
     generic_seeds = []
     seed = 0
     while len(generic_seeds) < 20:
@@ -106,7 +106,7 @@ def test_criterion_1_golden_closures():
         dim = closure_dim([sample] + controls_noloop)
         if dim >= 16:
             failures.append(f"gl(4) loop-free set reached {dim} at seed {seed}")
-        if matrix_graph_gl(sample).arcs == pattern_arcs:
+        if matrix_graph(sample).arcs == pattern_arcs:
             generic_seeds.append(seed)
             if dim != 15:
                 failures.append(f"gl(4) loop-free generic seed {seed} gave {dim} != 15")

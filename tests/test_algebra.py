@@ -62,6 +62,18 @@ def test_dimension_formula_matches_full_basis_span(kind, expected):
     assert dim == expected
 
 
+@pytest.mark.parametrize("make", (so, gl, su))
+def test_dimension_counts_the_canonical_basis(make):
+    # the closed-form dimension and the basis come from the admitted tags
+    # separately; they must agree at every size
+    for n in range(2, 13):
+        kind = make(n)
+        assert kind.dimension == len(canonical_basis(kind))
+    assert [str(b) for b in canonical_basis(su(3))] == [
+        "B12", "B13", "B23", "C12", "C13", "C23", "D12", "D13"]
+    assert [str(b) for b in canonical_basis(gl(2))] == ["E11", "E12", "E21", "E22"]
+
+
 def test_basis_element_validation():
     with pytest.raises(ValueError):
         BasisElement("B", 2, 1)

@@ -25,11 +25,8 @@ from structcon.graphs import (
     ColoredMultigraph,
     Digraph,
     UndirectedGraph,
-    contr_graph_gl,
-    contr_graph_so,
-    contr_graph_su,
-    drift_graph_gl,
-    drift_graph_su,
+    contr_graph,
+    drift_graph,
     union,
 )
 
@@ -37,9 +34,9 @@ from helpers import brute_odd_red_cycle, witness_is_odd_red_cycle
 
 
 def test_components_golden(so6_pair, su6_pair):
-    assert components(contr_graph_so(so6_pair.control)) == [
+    assert components(contr_graph(so6_pair.control)) == [
         frozenset({1, 2, 3}), frozenset({4, 5, 6})]
-    assert components(contr_graph_su(su6_pair.control)) == [
+    assert components(contr_graph(su6_pair.control)) == [
         frozenset({1, 2, 3}), frozenset({4, 5, 6})]
     assert components(UndirectedGraph.of(3, [])) == [
         frozenset({1}), frozenset({2}), frozenset({3})]
@@ -58,21 +55,27 @@ def test_is_connected():
 
 
 def test_strong_connectivity_golden(gl4_loop_pair):
-    u = union(drift_graph_gl(gl4_loop_pair.drift), contr_graph_gl(gl4_loop_pair.control))
+    u = union(drift_graph(gl4_loop_pair.drift), contr_graph(gl4_loop_pair.control))
     assert strongly_connected(u)
-    contr = contr_graph_gl(gl4_loop_pair.control)
+    contr = contr_graph(gl4_loop_pair.control)
     assert weak_components(contr) == [frozenset({1, 2}), frozenset({3, 4})]
     assert digraph_self_loops(contr) == frozenset({1})
     assert not strongly_connected(Digraph.of(2, [(1, 2)]))
     assert strongly_connected(Digraph.of(1, []))
     # self-loops alone do not make a graph strongly connected
     assert not strongly_connected(Digraph.of(2, [(1, 1), (2, 2)]))
+    # on a node subset only the arcs among those nodes count
+    assert all(strongly_connected(contr, c) for c in weak_components(contr))
+    cycle3 = Digraph.of(3, [(1, 2), (2, 3), (3, 1)])
+    assert strongly_connected(cycle3)
+    assert not strongly_connected(cycle3, frozenset({1, 2}))
+    assert strongly_connected(cycle3, frozenset({3}))
 
 
 def test_multi_edges_and_green_loops(su5_pair, su6_pair):
-    assert has_multi_edge(drift_graph_su(su5_pair.drift))
-    assert not has_multi_edge(drift_graph_su(su6_pair.drift))
-    assert green_loops(drift_graph_su(su5_pair.drift)) == frozenset({1, 5})
+    assert has_multi_edge(drift_graph(su5_pair.drift))
+    assert not has_multi_edge(drift_graph(su6_pair.drift))
+    assert green_loops(drift_graph(su5_pair.drift)) == frozenset({1, 5})
     two = ColoredMultigraph.of(3, [(1, 2, Color.BLUE), (1, 2, Color.RED)])
     assert has_multi_edge(two)
 
