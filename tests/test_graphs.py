@@ -96,9 +96,14 @@ def _union_all(parts):
     return combined
 
 
+def test_drift_graph_is_union_of_base_graphs(su6_pair):
+    parts = [matrix_graph(a) for a in su6_pair.drift.bases]
+    assert _union_all(parts) == drift_graph(su6_pair.drift)
+
+
 @pytest.mark.parametrize("family", ("so", "gl", "su"))
 @pytest.mark.parametrize("n", range(2, 7))
-def test_drift_graph_is_union_of_base_graphs(family, n):
+def test_kind_graphs_are_union_of_element_graphs(family, n):
     # seeded random pairs plus the bundled specs of this kind; a control
     # D_ij with i > 1 is stored as D_1j - D_1i, whose diagonal cancels at
     # node 1 and leaves exactly the loops at i and j that contr_graph draws
