@@ -15,6 +15,10 @@ routes are kept deliberately independent so that each can check the other.
 The structure constants are built per basis element on first use and
 applied by one vector routine, which both `bracket` and `LieClosure` call.
 
+`_Rules` is the one per-kind table: it holds the canonical basis, the
+index of each basis element and the structure-constant rows, and every
+lookup by coordinate goes through it.
+
 The family of an algebra matters here only through the basis tags it admits
 (`_ADMITTED`): the basis, its order and the dimension are built tag by tag.
 Only the matrix route (`decompose`) and the gl-only `contains_sl` test the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -48,7 +52,7 @@ class Family(Enum):
 # basis tags admitted by each family, in canonical basis order
 _ADMITTED = {Family.SO: "B", Family.GL: "E", Family.SU: "BCD"}
 
-# kinds whose basis, index and rule rows stay cached at once; a long-lived
+# kinds whose per-kind table (`_Rules`) stays cached at once; a long-lived
 # process working through many sizes drops the least recently used
 _KIND_CACHE_SIZE = 32
 
@@ -136,16 +140,19 @@ def _tag_basis(tag: str, n: int) -> list[BasisElement]:
     return [BasisElement(tag, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
-@functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
 def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
     """Ordered basis over the admitted tags: B lexicographic, then C, then
     D_12..D_1n, then E row-major."""
-    return tuple(b for tag in _ADMITTED[kind.family] for b in _tag_basis(tag, kind.n))
+    return _rules(kind).basis
 
 
-@functools.lru_cache(maxsize=_KIND_CACHE_SIZE)
-def _basis_index(kind: AlgebraKind) -> dict[BasisElement, int]:
-    return {b: k for k, b in enumerate(canonical_basis(kind))}
+def _bump(terms: dict, key: BasisElement | int, c: Fraction) -> None:
+    """terms[key] += c, dropping the key when the sum is zero."""
+    v = terms.get(key, _Q0) + c
+    if v:
+        terms[key] = v
+    else:
+        terms.pop(key, None)
 
 
 class AlgebraElement:
@@ -165,24 +172,16 @@ class AlgebraElement:
     @staticmethod
     def build(kind: AlgebraKind, items: Iterable[tuple[BasisElement, Fraction | int]]) -> "AlgebraElement":
         terms: dict[BasisElement, Fraction] = {}
-
-        def bump(b: BasisElement, c: Fraction) -> None:
-            v = terms.get(b, _Q0) + c
-            if v:
-                terms[b] = v
-            else:
-                terms.pop(b, None)
-
         for b, raw in items:
             validate_basis_element(kind, b)
             c = Fraction(raw)
             if not c:
                 continue
             if b.tag == "D" and b.i > 1:
-                bump(BasisElement("D", 1, b.j), c)
-                bump(BasisElement("D", 1, b.i), -c)
+                _bump(terms, BasisElement("D", 1, b.j), c)
+                _bump(terms, BasisElement("D", 1, b.i), -c)
             else:
-                bump(b, c)
+                _bump(terms, b, c)
         return AlgebraElement(kind, terms)
 
     @staticmethod
@@ -214,11 +213,7 @@ class AlgebraElement:
             raise KindMismatch(f"cannot add {self.kind} and {other.kind} elements")
         terms = dict(self._terms)
         for b, c in other._terms.items():
-            v = terms.get(b, _Q0) + c
-            if v:
-                terms[b] = v
-            else:
-                del terms[b]
+            _bump(terms, b, c)
         return AlgebraElement(self.kind, terms)
 
     def __neg__(self) -> "AlgebraElement":
@@ -249,12 +244,12 @@ class AlgebraElement:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_vector(self) -> dict[int, Fraction]:
-        index = _basis_index(self.kind)
+        index = _rules(self.kind).index
         return {index[b]: c for b, c in self._terms.items()}
 
     @staticmethod
     def from_vector(kind: AlgebraKind, vec: dict[int, Fraction]) -> "AlgebraElement":
-        basis = canonical_basis(kind)
+        basis = _rules(kind).basis
         return AlgebraElement(kind, {basis[k]: c for k, c in vec.items() if c})
 
 
@@ -405,32 +400,22 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
     acc: dict[BasisElement, Fraction] = {}
     diag: dict[int, Fraction] = {}
 
-    def bump(b_: BasisElement, c: Fraction) -> None:
-        v = acc.get(b_, _Q0) + c
-        if v:
-            acc[b_] = v
-        else:
-            acc.pop(b_, None)
-
-    def add_E(p: int, q: int, c: Fraction) -> None:
-        bump(BasisElement("E", p, q), c)
-
     def add_B(p: int, q: int, c: Fraction) -> None:
         if p == q:
             return
         if p < q:
-            bump(BasisElement("B", p, q), c)
+            _bump(acc, BasisElement("B", p, q), c)
         else:
-            bump(BasisElement("B", q, p), -c)
+            _bump(acc, BasisElement("B", q, p), -c)
 
     def add_C(p: int, q: int, c: Fraction) -> None:
         # C_pp stands for 2i E_pp; collect those on the diagonal ledger
         if p == q:
-            diag[p] = diag.get(p, _Q0) + 2 * c
+            _bump(diag, p, 2 * c)
         elif p < q:
-            bump(BasisElement("C", p, q), c)
+            _bump(acc, BasisElement("C", p, q), c)
         else:
-            bump(BasisElement("C", q, p), c)
+            _bump(acc, BasisElement("C", q, p), c)
 
     i, j, k, l = a.i, a.j, b.i, b.j
     ta, tb = a.tag, b.tag
@@ -438,9 +423,9 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
 
     if ta == "E" and tb == "E":
         if j == k:
-            add_E(i, l, one)
+            _bump(acc, BasisElement("E", i, l), one)
         if l == i:
-            add_E(k, j, -one)
+            _bump(acc, BasisElement("E", k, j), -one)
     elif ta == "B" and tb == "B":
         if j == k:
             add_B(i, l, one)
@@ -489,8 +474,8 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
         if sum(diag.values()):
             raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
         for p, d in diag.items():
-            if p >= 2 and d:
-                bump(BasisElement("D", 1, p), -d)
+            if p >= 2:
+                _bump(acc, BasisElement("D", 1, p), -d)
     return sorted(acc.items())
 
 
@@ -498,7 +483,8 @@ _Row = dict[int, tuple[tuple[int, int], ...]]
 
 
 class _Rules:
-    """Structure constants of one algebra, one basis element at a time.
+    """The per-kind table: the canonical basis, its index, and the structure
+    constants, one basis element at a time.
 
     Row a maps each basis index b with [a, b] != 0 to that bracket as
     (index, coefficient) pairs, the coefficients as `int`.  Elements on
@@ -510,8 +496,8 @@ class _Rules:
     __slots__ = ("basis", "index", "by_node", "nodes", "rows")
 
     def __init__(self, kind: AlgebraKind):
-        self.basis = canonical_basis(kind)
-        self.index = _basis_index(kind)
+        self.basis = tuple(b for tag in _ADMITTED[kind.family] for b in _tag_basis(tag, kind.n))
+        self.index = {b: k for k, b in enumerate(self.basis)}
         self.by_node: list[list[int]] = [[] for _ in range(kind.n + 1)]
         for k, b in enumerate(self.basis):
             self.by_node[b.i].append(k)
@@ -592,6 +578,23 @@ def _integral(vec: dict[int, Fraction]) -> dict[int, int]:
     return _primitive({idx: v.numerator * (den // v.denominator) for idx, v in vec.items()})
 
 
+def _eliminate(v: dict[int, int], p: int, row: dict[int, int]) -> None:
+    """v <- (a/g)·v - (c/g)·row in place, where a = row[p], c = v[p] and
+    g = gcd(a, c): the one fraction-free step, which clears v at p."""
+    a, c = row[p], v[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        for idx in v:
+            v[idx] *= a
+    for idx, x in row.items():
+        nv = v.get(idx, 0) - c * x
+        if nv:
+            v[idx] = nv
+        else:
+            del v[idx]
+
+
 class _Echelon:
     """Fully reduced, fraction-free row echelon form over int coordinate dicts.
 
@@ -607,6 +610,11 @@ class _Echelon:
     def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> primitive row
 
+    def copy(self) -> "_Echelon":
+        new = _Echelon()
+        new.rows = dict(self.rows)
+        return new
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -619,19 +627,7 @@ class _Echelon:
         out = dict(vec)
         rows = self.rows
         for p in [p for p in vec if p in rows]:
-            row = rows[p]
-            a, c = row[p], out[p]
-            g = gcd(a, c)
-            a, c = a // g, c // g
-            if a != 1:
-                for idx in out:
-                    out[idx] *= a
-            for idx, v in row.items():
-                nv = out.get(idx, 0) - c * v
-                if nv:
-                    out[idx] = nv
-                else:
-                    del out[idx]
+            _eliminate(out, p, rows[p])
         return out
 
     def contains(self, vec: dict[int, int]) -> bool:
@@ -643,19 +639,10 @@ class _Echelon:
             return False
         red = _primitive(red)
         p = min(red)
-        a = red[p]
         for q, row in list(self.rows.items()):
-            c = row.get(p)
-            if c:
-                g = gcd(a, c)
-                m, c = a // g, c // g
-                new = {idx: m * v for idx, v in row.items()} if m != 1 else dict(row)
-                for idx, v in red.items():
-                    nv = new.get(idx, 0) - c * v
-                    if nv:
-                        new[idx] = nv
-                    else:
-                        del new[idx]
+            if p in row:
+                new = dict(row)
+                _eliminate(new, p, red)
                 self.rows[q] = _primitive(new)
         self.rows[p] = red
         return True
@@ -668,25 +655,23 @@ class _Echelon:
 
 @dataclass(frozen=True)
 class SpanBasis:
-    """Row-reduced basis of a subspace; rank is exact by construction."""
+    """Row-reduced basis of a subspace; rank is exact by construction.
+
+    `ech` is the echelon of the rows, a copy of the closure's own, so
+    membership tests reduce against it instead of rebuilding one."""
 
     kind: AlgebraKind
     rows: tuple[AlgebraElement, ...]
+    ech: _Echelon = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _echelon(self) -> _Echelon:
-        ech = _Echelon()
-        for r in self.rows:
-            ech.insert(_integral(r.to_vector()))
-        return ech
-
     def contains(self, e: AlgebraElement) -> bool:
         if e.kind != self.kind:
             raise KindMismatch(f"element of {e.kind} tested against a {self.kind} span")
-        return self._echelon().contains(_integral(e.to_vector()))
+        return self.ech.contains(_integral(e.to_vector()))
 
 
 class LieClosure:
@@ -721,8 +706,7 @@ class LieClosure:
         new.kind = self.kind
         new.dim = self.dim
         new.rules = self.rules
-        new.ech = _Echelon()
-        new.ech.rows = dict(self.ech.rows)
+        new.ech = self.ech.copy()
         new.spanning = list(self.spanning)
         new.masks = list(self.masks)
         new.reach = list(self.reach)
@@ -775,7 +759,7 @@ class LieClosure:
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())
-        return SpanBasis(self.kind, rows)
+        return SpanBasis(self.kind, rows, self.ech.copy())
 
 
 def lie_closure(generators: list[AlgebraElement]) -> tuple[SpanBasis, int, int]:
@@ -797,8 +781,8 @@ def contains_sl(basis: SpanBasis) -> bool:
     if basis.kind.family is not Family.GL:
         raise KindMismatch(f"sl-containment is defined over gl(n), not {basis.kind}")
     n = basis.kind.n
-    index = _basis_index(basis.kind)
-    ech = basis._echelon()
+    index = _rules(basis.kind).index
+    ech = basis.ech
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:

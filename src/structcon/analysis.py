@@ -34,18 +34,10 @@ def components(g: UndirectedGraph | ColoredMultigraph) -> list[frozenset[int]]:
     seen: set[int] = set()
     out: list[frozenset[int]] = []
     for root in range(1, g.n + 1):
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        out.append(frozenset(comp))
+        if root not in seen:
+            comp = _reachable(adj, root)
+            seen |= comp
+            out.append(frozenset(comp))
     return out
 
 

@@ -210,18 +210,27 @@ def _read_spec(path: str) -> ZeroPatternPair:
     return parse_spec(text)
 
 
+# most values a lo..hi pool range may span; the range is materialised
+_MAX_POOL_RANGE = 10**4
+
+
 def _parse_pool(raw: str) -> tuple[Fraction, ...]:
+    # an argparse type hook: ArgumentTypeError takes the exit-1 usage path
     try:
         if ".." in raw:
             lo_s, hi_s = raw.split("..", 1)
             lo, hi = int(lo_s), int(hi_s)
+            if hi - lo >= _MAX_POOL_RANGE:
+                raise argparse.ArgumentTypeError(
+                    f"bad pool {raw!r}: a range spans at most {_MAX_POOL_RANGE} values")
             pool = tuple(Fraction(k) for k in range(lo, hi + 1) if k != 0)
         else:
             pool = tuple(Fraction(part) for part in raw.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad pool {raw!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad pool {raw!r}: {exc}") from None
     if not pool or any(not c for c in pool):
-        raise ParseError(f"bad pool {raw!r}: needs at least one nonzero value and no zeros")
+        raise argparse.ArgumentTypeError(
+            f"bad pool {raw!r}: needs at least one nonzero value and no zeros")
     return pool
 
 
@@ -252,15 +261,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    pair = _read_spec(args.spec)
     if args.cross:
-        report = verdict_mod.cross_validate(pair, trials=args.trials, seed=args.seed,
-                                            pool=args.pool)
-        if args.json:
-            _print_json(_report_dict(report))
-        else:
-            _print_report(report, pair.kind)
-        return 3 if report.contradiction else 0
+        return _cmd_report(args)
+    pair = _read_spec(args.spec)
     orc = verdict_mod.oracle(pair, trials=args.trials, seed=args.seed, pool=args.pool)
     if args.json:
         _print_json(_oracle_dict(orc))

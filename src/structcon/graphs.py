@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .algebra import AlgebraElement, AlgebraKind, Family
 from .errors import SizeMismatch
-from .patterns import ControlPattern, DriftPattern
+from .patterns import ControlPattern, DriftPattern, control_generators
 
 
 class Color(Enum):
@@ -133,15 +133,9 @@ def drift_graph(p: DriftPattern) -> Graph:
 
 
 def contr_graph(p: ControlPattern) -> Graph:
-    """Edge, arc or colored edge per control base; each D_ij base puts loops
-    at both i and j."""
-    pairs = []
-    for b in p.bases:
-        if b.tag == "D":
-            pairs += [("D", b.i, b.i), ("D", b.j, b.j)]
-        else:
-            pairs.append((b.tag, b.i, b.j))
-    return _graph(p.kind, pairs)
+    """Union of the graphs of the control generators, so each D_ij base puts
+    loops at both i and j."""
+    return _graph(p.kind, [t for a in control_generators(p) for t in _support_pairs(a)])
 
 
 def union(g1: Graph, g2: Graph) -> Graph:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -409,6 +410,46 @@ def test_echelon_matches_dense_span(data):
     for p, row in ech.rows.items():
         assert all(type(v) is int for v in row.values())
         assert row[p] > 0 and gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_span_basis_keeps_its_span_when_the_closure_grows(seed):
+    # a SpanBasis answers for the span it was taken from, even after the
+    # closure that produced it is extended and run again
+    rng = random.Random(seed)
+    kind = [so(5), gl(3), su(4)][seed % 3]
+    candidates = kind_candidates(kind)
+
+    def sample(terms):
+        return AlgebraElement.build(kind, [(rng.choice(candidates), rng.choice([-2, -1, 1, 3]))
+                                           for _ in range(terms)])
+
+    def dense(e):
+        v = e.to_vector()
+        return [v.get(k, Q(0)) for k in range(kind.dimension)]
+
+    gens = [sample(1), sample(1)]
+    state = LieClosure(kind)
+    state.add_generators(gens)
+    state.run()
+    old = state.basis()
+    extra = next(b for b in rng.sample(canonical_basis(kind), kind.dimension)
+                 if not old.contains(AlgebraElement.build(kind, [(b, 1)])))
+    state.add_generators([AlgebraElement.build(kind, [(extra, 1)])])
+    state.run()
+    grown = state.basis()
+    assert grown.rank > old.rank
+    assert old == lie_closure(gens)[0]
+
+    ref = DenseSpan()
+    for r in old.rows:
+        assert ref.insert(dense(r)) and old.contains(r)
+    combos = [sum((r.scale(rng.randint(-3, 3)) for r in old.rows), AlgebraElement.zero(kind))
+              for _ in range(5)]
+    probes = [*grown.rows, *combos, *(sample(rng.randint(1, 3)) for _ in range(30))]
+    assert not all(ref.contains(dense(e)) for e in grown.rows)
+    for e in probes:
+        assert old.contains(e) == ref.contains(dense(e))
 
 
 def test_contains_sl():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,22 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph", spec_path("su5_hub_with_loops"), "--which", "everything"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("pool", ["0", "a..b", "1..100000000"])
+def test_bad_pool_is_a_usage_error(pool):
+    # a separate process, so a traceback would reach its stderr; the wide
+    # range must be refused before it is materialised
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "structcon.cli", "report",
+         spec_path("so6_bridged_triangles"), f"--pool={pool}"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "bad pool" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cmd_closure_with_explicit_coefficients(capsys):

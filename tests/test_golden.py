@@ -2,8 +2,8 @@
 
 `check`, `report` and `closure --json` are compared with the goldens the
 benchmark checks its cold CLI requests against (`bench/golden/cli`, read
-only here); `graph --which drift|contr|union` is compared with
-`tests/golden/dot`.  Rebuilding a layer must leave every byte in place.
+only here), and `oracle --cross` with the `report` golden;
+`graph --which drift|contr|union` is compared with `tests/golden/dot`.  Rebuilding a layer must leave every byte in place.
 """
 
 from pathlib import Path
@@ -39,3 +39,9 @@ def test_cli_output_matches_golden(name, command, capsys):
 def test_graph_dot_matches_golden(name, which, capsys):
     out = _stdout(capsys, ["graph", str(SPECS / f"{name}.json"), "--which", which])
     assert out == (DOT_GOLDEN / f"{name}.{which}.dot").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_oracle_cross_matches_report_golden(name, capsys):
+    out = _stdout(capsys, ["oracle", str(SPECS / f"{name}.json"), "--cross"])
+    assert out == (CLI_GOLDEN / f"{name}.report.out").read_bytes().decode("utf-8")
