@@ -9,11 +9,12 @@ works on primitive integer coordinate vectors and hands `Fraction`s back
 only at the API boundary.  Span and rank decisions never touch floating
 point.
 
-Brackets are computed twice over: once from the structure constants of the
-basis, and once by multiplying exact complex-rational matrices.  The two
-routes are kept deliberately independent so that each can check the other.
-The structure constants are built per basis element on first use and
-applied by one vector routine, which both `bracket` and `LieClosure` call.
+Brackets are computed twice over, by two routes that share no code: from
+the structure constants, which are derived from the one matrix-unit rule
+E_pq E_rs = d_qr E_ps, and by multiplying exact complex-rational matrices,
+the independent check.  The structure constants are built per basis element
+on first use and applied by one vector routine, which both `bracket` and
+`LieClosure` call.
 
 `_Rules` is the one per-kind table: it holds the canonical basis, the
 index of each basis element and the structure-constant rows, and every
@@ -38,9 +39,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyGenerators, KindMismatch, MembershipError
 
-Q = Fraction
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 class Family(Enum):
@@ -146,7 +145,7 @@ def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
     return _rules(kind).basis
 
 
-def _bump(terms: dict, key: BasisElement | int, c: Fraction) -> None:
+def _bump(terms: dict[BasisElement, Fraction], key: BasisElement, c: Fraction) -> None:
     """terms[key] += c, dropping the key when the sum is zero."""
     v = terms.get(key, _Q0) + c
     if v:
@@ -390,93 +389,41 @@ def bracket_via_matrices(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement
 # ---------------------------------------------------------------------------
 
 
-def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, Fraction]]:
+# each generator as matrix units: (k, p, q) stands for i^k E_pq
+_UNITS = {
+    "B": lambda i, j: ((0, i, j), (2, j, i)),
+    "C": lambda i, j: ((1, i, j), (1, j, i)),
+    "D": lambda i, j: ((1, i, i), (3, j, j)),
+    "E": lambda i, j: ((0, i, j),),
+}
+
+
+def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, int]]:
     """Bracket of two generators, expanded over the canonical basis.
 
-    Covers the matrix-unit relation [E_ij, E_kl] = d_jk E_il - d_li E_kj and
-    the B/C/D relations; results are normalized (B_pq with p > q flipped,
-    diagonal C_pp parts converted to D_1k coordinates).
+    The structure constants are derived, not tabulated: a and b are sums of
+    matrix units i^k E_pq (`_UNITS`), ab - ba follows from the one rule
+    E_pq E_rs = d_qr E_ps, and each entry m_ps is read back as a coordinate:
+    E_ps in gl; in so and su B_pq = Re m_pq, C_pq = Im m_pq (p < q) and
+    D_1k = -Im m_kk (k >= 2).  The dense matrix route shares none of this.
     """
-    acc: dict[BasisElement, Fraction] = {}
-    diag: dict[int, Fraction] = {}
-
-    def add_B(p: int, q: int, c: Fraction) -> None:
-        if p == q:
-            return
-        if p < q:
-            _bump(acc, BasisElement("B", p, q), c)
-        else:
-            _bump(acc, BasisElement("B", q, p), -c)
-
-    def add_C(p: int, q: int, c: Fraction) -> None:
-        # C_pp stands for 2i E_pp; collect those on the diagonal ledger
-        if p == q:
-            _bump(diag, p, 2 * c)
-        elif p < q:
-            _bump(acc, BasisElement("C", p, q), c)
-        else:
-            _bump(acc, BasisElement("C", q, p), c)
-
-    i, j, k, l = a.i, a.j, b.i, b.j
-    ta, tb = a.tag, b.tag
-    one = _Q1
-
-    if ta == "E" and tb == "E":
-        if j == k:
-            _bump(acc, BasisElement("E", i, l), one)
-        if l == i:
-            _bump(acc, BasisElement("E", k, j), -one)
-    elif ta == "B" and tb == "B":
-        if j == k:
-            add_B(i, l, one)
-        if i == l:
-            add_B(j, k, one)
-        if j == l:
-            add_B(k, i, one)
-        if i == k:
-            add_B(l, j, one)
-    elif ta == "C" and tb == "C":
-        if l == i:
-            add_B(k, j, one)
-        if k == i:
-            add_B(l, j, one)
-        if l == j:
-            add_B(k, i, one)
-        if k == j:
-            add_B(l, i, one)
-    elif ta == "B" and tb == "C":
-        if j == k:
-            add_C(i, l, one)
-        if j == l:
-            add_C(i, k, one)
-        if i == l:
-            add_C(k, j, -one)
-        if i == k:
-            add_C(l, j, -one)
-    elif ta == "B" and tb == "D":
-        c = Fraction((1 if j == k else 0) + (1 if l == i else 0)
-                     - (1 if k == i else 0) - (1 if j == l else 0))
-        if c:
-            add_C(i, j, c)
-    elif ta == "C" and tb == "D":
-        c = Fraction((1 if k == i else 0) + (1 if j == l else 0)
-                     - (1 if k == j else 0) - (1 if i == l else 0))
-        if c:
-            add_B(i, j, c)
-    elif ta == "D" and tb == "D":
-        pass
-    else:
-        # remaining mixed orders reduce by antisymmetry
-        return [(r, -c) for r, c in _pair_bracket(b, a)]
-
-    if diag:
-        # sum of i*E_pp coefficients must vanish (brackets are traceless)
-        if sum(diag.values()):
-            raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
-        for p, d in diag.items():
-            if p >= 2:
-                _bump(acc, BasisElement("D", 1, p), -d)
-    return sorted(acc.items())
+    powers: dict[tuple[int, int], list[int]] = {}  # (p, s) -> count per power of i
+    ua, ub = _UNITS[a.tag](a.i, a.j), _UNITS[b.tag](b.i, b.j)
+    for left, right, sign in ((ua, ub, 1), (ub, ua, -1)):
+        for k, p, q in left:
+            for l, r, s in right:
+                if q == r:
+                    powers.setdefault((p, s), [0, 0, 0, 0])[(k + l) % 4] += sign
+    m = {ps: (c[0] - c[2], c[1] - c[3]) for ps, c in powers.items()}
+    if a.tag == "E":
+        return sorted((BasisElement("E", p, s), re) for (p, s), (re, _) in m.items() if re)
+    # brackets are traceless, so the i*E_kk parts fit the D_1k basis
+    if sum(im for (p, s), (_, im) in m.items() if p == s):
+        raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
+    off = [(BasisElement(tag, p, s), c) for (p, s), (re, im) in m.items() if p < s
+           for tag, c in (("B", re), ("C", im)) if c]
+    diag = [(BasisElement("D", 1, p), -im) for (p, s), (_, im) in m.items() if p == s > 1 and im]
+    return sorted(off + diag)
 
 
 _Row = dict[int, tuple[tuple[int, int], ...]]
@@ -777,21 +724,11 @@ def lie_closure(generators: list[AlgebraElement]) -> tuple[SpanBasis, int, int]:
 
 
 def contains_sl(basis: SpanBasis) -> bool:
-    """True when the span contains every traceless matrix (GL only)."""
+    """True when the span contains every traceless matrix (GL only): it is
+    all of gl(n), or has the dimension n^2 - 1 of sl(n) and is traceless."""
     if basis.kind.family is not Family.GL:
         raise KindMismatch(f"sl-containment is defined over gl(n), not {basis.kind}")
     n = basis.kind.n
-    index = _rules(basis.kind).index
-    ech = basis.ech
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if not ech.contains({index[BasisElement("E", i, j)]: 1}):
-                return False
-    for i in range(1, n):
-        vec = {index[BasisElement("E", i, i)]: 1,
-               index[BasisElement("E", i + 1, i + 1)]: -1}
-        if not ech.contains(vec):
-            return False
-    return True
+    diagonal = [BasisElement("E", i, i) for i in range(1, n + 1)]
+    return basis.rank == n * n or (basis.rank == n * n - 1 and not any(
+        sum(row.coeff(e) for e in diagonal) for row in basis.rows))

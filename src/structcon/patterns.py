@@ -65,16 +65,26 @@ class ZeroPatternPair:
         return self.drift.kind
 
 
+class _Pool(tuple):
+    """A normalised coefficient pool: distinct nonzero `Fraction`s, sorted.
+    `sample_drift` draws from one as it is, so it is normalised only once."""
+
+
+def _normalise_pool(pool: Sequence[Fraction]) -> _Pool:
+    choices = _Pool(sorted(set(Fraction(c) for c in pool)))
+    if any(not c for c in choices):
+        raise EmptyPool("coefficient pool must not contain zero")
+    if not choices:
+        raise EmptyPool("coefficient pool is empty")
+    return choices
+
+
 def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:
     """Deterministic rigid-pattern sample: sum of bases with pool coefficients.
 
     Cancellation may zero the result; callers that care check `is_zero`.
     """
-    choices = sorted(set(Fraction(c) for c in pool))
-    if any(not c for c in choices):
-        raise EmptyPool("coefficient pool must not contain zero")
-    if not choices:
-        raise EmptyPool("coefficient pool is empty")
+    choices = pool if isinstance(pool, _Pool) else _normalise_pool(pool)
     rng = random.Random(seed)
     out = AlgebraElement.zero(pattern.kind)
     for base in pattern.bases:

@@ -22,6 +22,7 @@ from .patterns import (
     DEFAULT_POOL,
     ControlPattern,
     ZeroPatternPair,
+    _normalise_pool,
     control_generators,
     drift_is_basis_subset,
     sample_drift,
@@ -231,13 +232,14 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
     kind = pair.kind
+    choices = _normalise_pool(pool)
     base = LieClosure(kind)
     base.add_generators(control_generators(pair.control))
     base.run()
 
     dims: list[int] = []
     for t in range(trials):
-        drift = sample_drift(pair.drift, pool, seed * 1_000_003 + t)
+        drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
         state = base.copy()
         state.add_generators([drift])
         state.run()

@@ -147,11 +147,27 @@ def test_bracket_kind_mismatch():
         bracket_via_matrices(unit(so(3), "B", 1, 2), unit(so(4), "B", 1, 2))
 
 
-@pytest.mark.parametrize("kind", [so(4), so(6), gl(3), gl(5), su(3), su(6)])
+@pytest.mark.parametrize("kind", [so(4), so(6), gl(3), gl(5), su(3), su(6),
+                                  so(2), gl(2), su(2)])
 def test_bracket_equals_matrix_oracle_on_all_basis_pairs(kind):
     basis = canonical_basis(kind)
     for a in basis:
         for b in basis:
+            x = AlgebraElement.build(kind, [(a, 1)])
+            y = AlgebraElement.build(kind, [(b, 1)])
+            assert bracket(x, y) == bracket_via_matrices(x, y), (a, b)
+
+
+@pytest.mark.parametrize("family", [so, gl, su], ids=lambda f: f.__name__)
+def test_bracket_equals_matrix_oracle_on_sampled_pairs_of_large_kinds(family):
+    # the derived structure constants against the dense matrix commutator on
+    # kinds too large for the all-pairs scan: 100 seeded pairs per size
+    rng = random.Random(f"{family.__name__}-pairs")
+    for n in range(7, 10):
+        kind = family(n)
+        basis = canonical_basis(kind)
+        for _ in range(100):
+            a, b = rng.choice(basis), rng.choice(basis)
             x = AlgebraElement.build(kind, [(a, 1)])
             y = AlgebraElement.build(kind, [(b, 1)])
             assert bracket(x, y) == bracket_via_matrices(x, y), (a, b)
@@ -463,6 +479,11 @@ def test_contains_sl():
     assert not contains_sl(single)
     full, _, _ = lie_closure([AlgebraElement.build(g3, [(b, 1)]) for b in canonical_basis(g3)])
     assert contains_sl(full)
+    # rank n^2 - 1 but not traceless: the upper triangular matrices of gl(2)
+    g2 = gl(2)
+    upper, dim, _ = lie_closure([unit(g2, "E", 1, 1), unit(g2, "E", 1, 2), unit(g2, "E", 2, 2)])
+    assert dim == 3 == g2.dimension - 1
+    assert not contains_sl(upper)
     so_basis, _, _ = lie_closure([unit(so(3), "B", 1, 2)])
     with pytest.raises(KindMismatch):
         contains_sl(so_basis)

@@ -4,12 +4,17 @@
 benchmark checks its cold CLI requests against (`bench/golden/cli`, read
 only here), and `oracle --cross` with the `report` golden;
 `graph --which drift|contr|union` is compared with `tests/golden/dot`.  Rebuilding a layer must leave every byte in place.
+A sample of the benchmark's `random_sweep` corpus is checked against its
+golden verdicts and dimensions (`bench/golden/random_sweep.json`) too.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+import structcon
 from structcon.cli import main
 
 from conftest import SPEC_NAMES
@@ -45,3 +50,26 @@ def test_graph_dot_matches_golden(name, which, capsys):
 def test_oracle_cross_matches_report_golden(name, capsys):
     out = _stdout(capsys, ["oracle", str(SPECS / f"{name}.json"), "--cross"])
     assert out == (CLI_GOLDEN / f"{name}.report.out").read_bytes().decode("utf-8")
+
+
+def _bench_workloads():
+    """`bench/workloads.py`, loaded read-only under a private module name."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  TESTS.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_random_sweep_sample_matches_golden():
+    # every 13th pair: 13 is coprime to the 17 kinds of a corpus block, so
+    # the sample covers every kind
+    wl = _bench_workloads()
+    corpus, golden = wl.sweep_corpus(structcon), wl.load_sweep_golden()
+    assert len(corpus) == len(golden)
+    sample = range(0, len(corpus), 13)
+    assert {str(corpus[k].kind) for k in sample} == {str(pair.kind) for pair in corpus}
+    for k in sample:
+        report = structcon.cross_validate(corpus[k], trials=wl.SWEEP_TRIALS, seed=k)
+        assert (report.verdict.value, report.oracle.dimensions) == golden[k], k

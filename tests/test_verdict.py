@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from structcon import patterns
+from structcon import verdict as verdict_module
 from structcon.algebra import (
     AlgebraElement,
     BasisElement,
@@ -16,7 +18,7 @@ from structcon.algebra import (
     su,
 )
 from structcon.errors import KindMismatch
-from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
+from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair, sample_drift
 from structcon.verdict import (
     GeneratedGl,
     Verdict,
@@ -227,6 +229,26 @@ def test_oracle_reports(so6_pair, gl4_noloop_pair):
     rep = oracle(gl4_noloop_pair, trials=20, seed=0)
     assert not rep.achieved_full
     assert all(d <= 15 for d in rep.dimensions)
+
+
+def test_oracle_normalises_the_pool_once(monkeypatch, so6_pair, gl4_noloop_pair):
+    # one normalisation per oracle call, however many trials; the dimensions
+    # are those of normalising the pool again for each trial
+    normalise, calls = patterns._normalise_pool, []
+
+    def counting(pool):
+        calls.append(len(pool))
+        return normalise(pool)
+
+    monkeypatch.setattr(patterns, "_normalise_pool", counting)
+    monkeypatch.setattr(verdict_module, "_normalise_pool", counting)
+    pool = tuple(Fraction(k) for k in range(-500, 501) if k)
+    assert oracle(so6_pair, trials=8, seed=3, pool=pool).dimensions == (15,) * 8
+    assert oracle(gl4_noloop_pair, trials=8, seed=3, pool=pool).dimensions == (15,) * 8
+    assert calls == [1000, 1000]
+    for seed in range(5):
+        drawn = sample_drift(so6_pair.drift, normalise(pool), seed)
+        assert drawn == sample_drift(so6_pair.drift, list(reversed(pool)), seed)
 
 
 def test_oracle_trivial_pattern_never_full():
