@@ -210,6 +210,11 @@ def is_simple_complete(g: Digraph) -> bool:
     return set(g.arcs) == wanted
 
 
+# (first edge, second edge) -> closing edge; the loop meets each pair in both orders
+_T_RULES = {(Color.BLUE, Color.BLUE): Color.BLUE, (Color.RED, Color.RED): Color.BLUE,
+            (Color.RED, Color.BLUE): Color.RED}
+
+
 def closure_step_T(g: ColoredMultigraph) -> ColoredMultigraph:
     """One step of the edge-colored closure: blue.blue -> blue,
     red.red -> blue, red.blue -> red (endpoints distinct)."""
@@ -227,13 +232,9 @@ def closure_step_T(g: ColoredMultigraph) -> ColoredMultigraph:
                 k = e2[0] if e2[1] == j else e2[1]
                 if i == k:
                     continue
-                c1, c2 = e1[2], e2[2]
-                if c1 is Color.BLUE and c2 is Color.BLUE:
-                    new.add((min(i, k), max(i, k), Color.BLUE))
-                elif c1 is Color.RED and c2 is Color.RED:
-                    new.add((min(i, k), max(i, k), Color.BLUE))
-                elif c1 is Color.RED and c2 is Color.BLUE:
-                    new.add((min(i, k), max(i, k), Color.RED))
+                color = _T_RULES.get((e1[2], e2[2]))
+                if color is not None:
+                    new.add((min(i, k), max(i, k), color))
     return ColoredMultigraph(g.n, frozenset(new))
 
 

@@ -12,6 +12,8 @@ Spec files are JSON documents::
 Coefficients are rational strings ("3", "-1/2") or integers; indices are
 1-based.  Exit codes: 0 for any verdict, 1 for parse or usage errors, 2 for
 zero-pattern validation errors, 3 for a cross-validation contradiction.
+`--json` prints the fields of the result record (`Report`, `OracleReport`),
+with the verdict as its value.
 """
 
 from __future__ import annotations
@@ -19,20 +21,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import verdict as verdict_mod
 from .algebra import AlgebraElement, AlgebraKind, BasisElement, Family, lie_closure
-from .errors import ParseError, StructconError, ValidationError
+from .errors import EmptyPool, ParseError, StructconError, ValidationError
 from .graphs import contr_graph, drift_graph, to_dot, union
 from .patterns import (
     DEFAULT_POOL,
     ControlPattern,
     DriftPattern,
     ZeroPatternPair,
+    _normalise_pool,
     control_generators,
+    drift_with,
     sample_drift,
 )
 
@@ -69,7 +74,7 @@ def parse_spec(text: str) -> ZeroPatternPair:
     """Parse and validate a JSON spec document into a zero-pattern pair."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     algebra = _want(doc, "algebra", str, "document")
     try:
@@ -82,15 +87,11 @@ def parse_spec(text: str) -> ZeroPatternPair:
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
-    drift_items = _want(doc, "drift", list, "document")
-    if not drift_items:
-        raise ValidationError("drift pattern must list at least one base element")
     bases: list[AlgebraElement] = []
-    for s, item in enumerate(drift_items):
+    for s, item in enumerate(_want(doc, "drift", list, "document")):
         where = f"drift[{s}]"
-        terms_raw = _want(item, "terms", list, where)
         terms: list[tuple[BasisElement, Fraction]] = []
-        for t, term in enumerate(terms_raw):
+        for t, term in enumerate(_want(item, "terms", list, where)):
             loc = f"{where}.terms[{t}]"
             b = _basis_entry(term, loc)
             c = _coeff(_want(term, "coeff", (int, str), loc), loc)
@@ -101,22 +102,15 @@ def parse_spec(text: str) -> ZeroPatternPair:
             element = AlgebraElement.build(kind, terms)
         except StructconError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-        if element.is_zero:
-            raise ValidationError(f"{where}: base element is zero")
         bases.append(element)
 
-    control_items = _want(doc, "control", list, "document")
-    if not control_items:
-        raise ValidationError("control pattern must list at least one base element")
-    control_elems = []
-    for s, item in enumerate(control_items):
-        control_elems.append(_basis_entry(item, f"control[{s}]"))
+    control_elems = [_basis_entry(item, f"control[{s}]")
+                     for s, item in enumerate(_want(doc, "control", list, "document"))]
     try:
-        pair = ZeroPatternPair(DriftPattern(kind, tuple(bases)),
+        return ZeroPatternPair(DriftPattern(kind, tuple(bases)),
                                ControlPattern(kind, tuple(control_elems)))
     except StructconError as exc:
         raise ValidationError(str(exc)) from None
-    return pair
 
 
 def pair_to_document(pair: ZeroPatternPair) -> dict:
@@ -138,31 +132,9 @@ def pair_to_document(pair: ZeroPatternPair) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _report_dict(report: verdict_mod.Report) -> dict:
-    return {
-        "verdict": report.verdict.value,
-        "decided_by": report.decided_by,
-        "conditions": [
-            {"name": c.name, "holds": c.holds, "citation": c.citation}
-            for c in report.conditions
-        ],
-        "oracle": None if report.oracle is None else _oracle_dict(report.oracle),
-        "contradiction": report.contradiction,
-    }
-
-
-def _oracle_dict(orc: verdict_mod.OracleReport) -> dict:
-    return {
-        "trials": orc.trials,
-        "dimensions": list(orc.dimensions),
-        "target": orc.target,
-        "achieved_full": orc.achieved_full,
-        "seed": orc.seed,
-    }
-
-
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # a record's `asdict` holds enums (the verdict); they print as their values
+    print(json.dumps(payload, indent=2, sort_keys=True, default=lambda member: member.value))
 
 
 def _print_report(report: verdict_mod.Report, kind: AlgebraKind) -> None:
@@ -201,63 +173,62 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_spec(path: str) -> ZeroPatternPair:
-    if path == "-":
-        return parse_spec(sys.stdin.read())
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return parse_spec(text)
 
 
-# most values a lo..hi pool range may span; the range is materialised
-_MAX_POOL_RANGE = 10**4
+# most values a lo..hi pool range may span (the range is materialised), and
+# most trials a run may take (each trial is a closure)
+_MAX_COUNT = 10**4
 
 
 def _parse_pool(raw: str) -> tuple[Fraction, ...]:
     # an argparse type hook: ArgumentTypeError takes the exit-1 usage path
     try:
         if ".." in raw:
-            lo_s, hi_s = raw.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi - lo >= _MAX_POOL_RANGE:
+            lo, hi = map(int, raw.split("..", 1))
+            if hi - lo >= _MAX_COUNT:
                 raise argparse.ArgumentTypeError(
-                    f"bad pool {raw!r}: a range spans at most {_MAX_POOL_RANGE} values")
-            pool = tuple(Fraction(k) for k in range(lo, hi + 1) if k != 0)
-        else:
-            pool = tuple(Fraction(part) for part in raw.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+                    f"bad pool {raw!r}: a range spans at most {_MAX_COUNT} values")
+            return _normalise_pool([k for k in range(lo, hi + 1) if k != 0])
+        return _normalise_pool([part for part in raw.split(",") if part.strip()])
+    except (EmptyPool, ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad pool {raw!r}: {exc}") from None
-    if not pool or any(not c for c in pool):
+
+
+def _parse_trials(raw: str) -> int:
+    # an argparse type hook, like `_parse_pool`
+    trials = int(raw) if raw.strip().isdecimal() else 0
+    if not 1 <= trials <= _MAX_COUNT:
         raise argparse.ArgumentTypeError(
-            f"bad pool {raw!r}: needs at least one nonzero value and no zeros")
-    return pool
+            f"trials must be an integer from 1 to {_MAX_COUNT}, got {raw!r}")
+    return trials
 
 
 def _drift_for_closure(pair: ZeroPatternPair, args: argparse.Namespace) -> AlgebraElement:
-    if args.coeffs is not None:
-        parts = [p for p in args.coeffs.split(",") if p.strip()]
-        if len(parts) != len(pair.drift.bases):
-            raise ParseError(
-                f"--coeffs lists {len(parts)} values for {len(pair.drift.bases)} drift bases")
-        coeffs = [_coeff(p, "--coeffs") for p in parts]
-        if any(not c for c in coeffs):
-            raise ParseError("--coeffs values must be nonzero (rigid pattern)")
-        out = AlgebraElement.zero(pair.kind)
-        for base, c in zip(pair.drift.bases, coeffs):
-            out = out + base.scale(c)
-        return out
-    return sample_drift(pair.drift, args.pool, args.seed)
+    if args.coeffs is None:
+        return sample_drift(pair.drift, args.pool, args.seed)
+    coeffs = [_coeff(p, "--coeffs") for p in args.coeffs.split(",") if p.strip()]
+    try:
+        return drift_with(pair.drift, coeffs)
+    except ValueError as exc:
+        raise ParseError(f"--coeffs: {exc}") from None
+
+
+def _show_report(args: argparse.Namespace, report: verdict_mod.Report, kind: AlgebraKind) -> int:
+    if args.json:
+        _print_json(asdict(report))
+    else:
+        _print_report(report, kind)
+    return 3 if report.contradiction else 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     pair = _read_spec(args.spec)
-    report = verdict_mod.check(pair)
-    if args.json:
-        _print_json(_report_dict(report))
-    else:
-        _print_report(report, pair.kind)
-    return 0
+    return _show_report(args, verdict_mod.check(pair), pair.kind)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -266,7 +237,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     pair = _read_spec(args.spec)
     orc = verdict_mod.oracle(pair, trials=args.trials, seed=args.seed, pool=args.pool)
     if args.json:
-        _print_json(_oracle_dict(orc))
+        _print_json(asdict(orc))
     else:
         _print_oracle(orc, pair.kind)
     return 0
@@ -310,15 +281,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     pair = _read_spec(args.spec)
     report = verdict_mod.cross_validate(pair, trials=args.trials, seed=args.seed,
                                         pool=args.pool)
-    if args.json:
-        _print_json(_report_dict(report))
-    else:
-        _print_report(report, pair.kind)
-    return 3 if report.contradiction else 0
+    return _show_report(args, report, pair.kind)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=8, help="number of sampled drifts")
+    p.add_argument("--trials", type=_parse_trials, default=8,
+                   help=f"number of sampled drifts, 1 to {_MAX_COUNT}")
+    _add_sampling_flags(p)
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
     p.add_argument("--pool", type=_parse_pool, default=DEFAULT_POOL,
                    help="coefficient pool, e.g. -9..9 or 1,2,5/2")
@@ -345,7 +317,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("closure", help="closure dimension of drift plus controls")
     p.add_argument("spec", help="spec file path, or - for stdin")
-    _add_oracle_flags(p)
+    _add_sampling_flags(p)
     p.add_argument("--coeffs", default=None,
                    help="explicit drift coefficients c1,c2,... instead of sampling")
     p.add_argument("--no-drift", action="store_true",
@@ -356,7 +328,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("graph", help="emit a pattern graph as DOT")
     p.add_argument("spec", help="spec file path, or - for stdin")
     p.add_argument("--which", choices=("drift", "contr", "union"), required=True)
-    p.add_argument("--format", choices=("dot",), default="dot")
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("report", help="checker plus oracle with cross-validation")
@@ -371,8 +342,6 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        parser.exit(1, "structcon: error: --trials must be at least 1\n")
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -28,11 +28,11 @@ class DriftPattern:
     def __post_init__(self) -> None:
         if not self.bases:
             raise ValidationError("a drift pattern needs at least one base element")
-        for a in self.bases:
+        for s, a in enumerate(self.bases):
             if a.kind != self.kind:
                 raise KindMismatch(f"drift base of {a.kind} in a {self.kind} pattern")
             if a.is_zero:
-                raise ValidationError("drift base elements must be nonzero")
+                raise ValidationError(f"drift[{s}]: base element is zero")
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,27 @@ def _normalise_pool(pool: Sequence[Fraction]) -> _Pool:
     return choices
 
 
-def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:
-    """Deterministic rigid-pattern sample: sum of bases with pool coefficients.
+def drift_with(pattern: DriftPattern, coeffs: Sequence[Fraction]) -> AlgebraElement:
+    """The rigid drift c_1·A_1 + ... + c_d·A_d: one nonzero coefficient per base.
 
     Cancellation may zero the result; callers that care check `is_zero`.
     """
+    if len(coeffs) != len(pattern.bases):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(pattern.bases)} drift bases")
+    if not all(coeffs):
+        raise ValueError("drift coefficients must be nonzero (rigid pattern)")
+    out = AlgebraElement.zero(pattern.kind)
+    for base, c in zip(pattern.bases, coeffs):
+        out = out + base.scale(c)
+    return out
+
+
+def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:
+    """Deterministic rigid-pattern sample: `drift_with` pool coefficients
+    drawn in base order."""
     choices = pool if isinstance(pool, _Pool) else _normalise_pool(pool)
     rng = random.Random(seed)
-    out = AlgebraElement.zero(pattern.kind)
-    for base in pattern.bases:
-        out = out + base.scale(rng.choice(choices))
-    return out
+    return drift_with(pattern, [rng.choice(choices) for _ in pattern.bases])
 
 
 def control_generators(pattern: ControlPattern) -> list[AlgebraElement]:

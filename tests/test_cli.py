@@ -122,6 +122,34 @@ def test_cmd_oracle_cross_exit_codes(capsys):
     assert "Cross-check contradiction: no" in out
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200_000],
+                         ids=["not-utf8", "nested-200000-deep"])
+def test_hostile_spec_file_is_a_parse_error(tmp_path, capsys, content):
+    spec = tmp_path / "hostile.json"
+    spec.write_bytes(content)
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith("structcon: parse error: ")
+
+
+def test_trials_are_capped_when_parsed(capsys):
+    # refused before any closure runs
+    with pytest.raises(SystemExit) as exc:
+        main(["report", spec_path("su5_hub_with_loops"), "--trials=10001"])
+    assert exc.value.code == 1
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", spec_path("su5_hub_with_loops"), "--trials", "3"],
+    ["graph", spec_path("su5_hub_with_loops"), "--which", "drift", "--format", "dot"],
+], ids=["closure-trials", "graph-format"])
+def test_flags_that_did_nothing_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", spec_path("su5_hub_with_loops"), "--trials", "0"])
@@ -161,6 +189,8 @@ def test_cmd_closure_control_only(capsys):
 
 def test_cmd_closure_coeffs_arity_error(capsys):
     assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,2"]) == 1
+    assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,0,1"]) == 1
+    assert "nonzero" in capsys.readouterr().err
 
 
 def test_cmd_graph_dot(capsys):

@@ -3,7 +3,9 @@
 `check`, `report` and `closure --json` are compared with the goldens the
 benchmark checks its cold CLI requests against (`bench/golden/cli`, read
 only here), and `oracle --cross` with the `report` golden;
-`graph --which drift|contr|union` is compared with `tests/golden/dot`.  Rebuilding a layer must leave every byte in place.
+`graph --which drift|contr|union` is compared with `tests/golden/dot`, and
+`check`, `report` and `oracle` with `--json` with `tests/golden/json`.
+Rebuilding a layer must leave every byte in place.
 A sample of the benchmark's `random_sweep` corpus is checked against its
 golden verdicts and dimensions (`bench/golden/random_sweep.json`) too.
 """
@@ -23,6 +25,7 @@ TESTS = Path(__file__).resolve().parent
 SPECS = TESTS.parent / "src" / "structcon" / "specs"
 CLI_GOLDEN = TESTS.parent / "bench" / "golden" / "cli"
 DOT_GOLDEN = TESTS / "golden" / "dot"
+JSON_GOLDEN = TESTS / "golden" / "json"
 
 COMMANDS = (("check",), ("report",), ("closure", "--json"))
 
@@ -44,6 +47,13 @@ def test_cli_output_matches_golden(name, command, capsys):
 def test_graph_dot_matches_golden(name, which, capsys):
     out = _stdout(capsys, ["graph", str(SPECS / f"{name}.json"), "--which", which])
     assert out == (DOT_GOLDEN / f"{name}.{which}.dot").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("command", ("check", "report", "oracle"))
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_json_output_matches_golden(name, command, capsys):
+    out = _stdout(capsys, [command, str(SPECS / f"{name}.json"), "--json"])
+    assert out == (JSON_GOLDEN / f"{name}.{command}.json").read_bytes().decode("utf-8")
 
 
 @pytest.mark.parametrize("name", SPEC_NAMES)

@@ -11,6 +11,7 @@ from structcon.patterns import (
     ZeroPatternPair,
     control_generators,
     drift_is_basis_subset,
+    drift_with,
     sample_drift,
 )
 
@@ -87,6 +88,21 @@ def test_sample_drift_single_base_and_empty_pool():
         sample_drift(p, [], seed=0)
     with pytest.raises(EmptyPool):
         sample_drift(p, [Fraction(0), Fraction(1)], seed=0)
+
+
+def test_drift_with_is_the_rigid_sum_sample_drift_draws():
+    import random
+    p = so6_drift()
+    coeffs = [Fraction(1), Fraction(3), Fraction(1)]
+    assert drift_with(p, coeffs) == p.bases[0] + p.bases[1].scale(3) + p.bases[2]
+    for seed in range(5):
+        rng = random.Random(seed)  # the draws sample_drift makes, in base order
+        drawn = [rng.choice(sorted(DEFAULT_POOL)) for _ in p.bases]
+        assert sample_drift(p, DEFAULT_POOL, seed) == drift_with(p, drawn)
+    with pytest.raises(ValueError, match="2 coefficients for 3"):
+        drift_with(p, coeffs[:2])
+    with pytest.raises(ValueError, match="nonzero"):
+        drift_with(p, [Fraction(1), Fraction(0), Fraction(1)])
 
 
 def test_control_generators():
