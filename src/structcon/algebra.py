@@ -21,9 +21,9 @@ index of each basis element and the structure-constant rows, and every
 lookup by coordinate goes through it.
 
 The family of an algebra matters here only through the basis tags it admits
-(`_ADMITTED`): the basis, its order and the dimension are built tag by tag.
-Only the matrix route (`decompose`) and the gl-only `contains_sl` test the
-family itself; graph types live in `graphs`, checkers in `verdict`.
+(`_ADMITTED`): the basis, its order, the dimension and the matrix route are
+built tag by tag.  Only the gl-only `contains_sl` tests the family itself;
+graph types live in `graphs`, checkers in `verdict`.
 """
 
 from __future__ import annotations
@@ -274,9 +274,6 @@ class Cq:
         return Cq(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
 
-    def __neg__(self) -> "Cq":
-        return Cq(-self.re, -self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -285,75 +282,48 @@ _C0 = Cq()
 
 Matrix = tuple[tuple[Cq, ...], ...]
 
-
-def _matrix_from_entries(n: int, entries: dict[tuple[int, int], Cq]) -> Matrix:
-    return tuple(tuple(entries.get((r, c), _C0) for c in range(n)) for r in range(n))
+# each generator's matrix entries as (row, column, re, im), 0-based: a
+# coefficient c adds c times the unit re + i im there.  Kept apart from
+# `_UNITS`, so that one wrong sign cannot fool both bracket routes.
+_ENTRIES = {
+    "B": lambda i, j: ((i, j, 1, 0), (j, i, -1, 0)),
+    "C": lambda i, j: ((i, j, 0, 1), (j, i, 0, 1)),
+    "D": lambda i, j: ((i, i, 0, 1), (j, j, 0, -1)),
+    "E": lambda i, j: ((i, j, 1, 0),),
+}
 
 
 def to_matrix(e: AlgebraElement) -> Matrix:
     """Render an element as an exact n x n complex-rational matrix."""
     n = e.kind.n
-    acc: dict[tuple[int, int], Cq] = {}
-
-    def add(r: int, c: int, v: Cq) -> None:
-        cur = acc.get((r, c), _C0) + v
-        acc[(r, c)] = cur
-
+    m = [[_C0] * n for _ in range(n)]
     for b, coeff in e.items():
-        i, j = b.i - 1, b.j - 1
-        if b.tag == "B":
-            add(i, j, Cq(coeff, _Q0))
-            add(j, i, Cq(-coeff, _Q0))
-        elif b.tag == "C":
-            add(i, j, Cq(_Q0, coeff))
-            add(j, i, Cq(_Q0, coeff))
-        elif b.tag == "D":
-            add(i, i, Cq(_Q0, coeff))
-            add(j, j, Cq(_Q0, -coeff))
-        else:
-            add(i, j, Cq(coeff, _Q0))
-    return _matrix_from_entries(n, acc)
+        for r, c, re, im in _ENTRIES[b.tag](b.i - 1, b.j - 1):
+            m[r][c] = m[r][c] + Cq(coeff * re, coeff * im)
+    return tuple(map(tuple, m))
 
 
 def decompose(m: Matrix, kind: AlgebraKind) -> AlgebraElement:
-    """Inverse of to_matrix; raises MembershipError off the algebra."""
+    """Inverse of to_matrix; raises MembershipError off the algebra.
+
+    Each coordinate is the real part of its element's last entry over the unit
+    there; other elements reach that entry only along the orthogonal unit, so
+    the read inverts `to_matrix` on the algebra.  m is accepted exactly when
+    `to_matrix` of the element read gives m back: the round trip lands in the
+    algebra, so that one comparison is membership.
+    """
     n = kind.n
     if len(m) != n or any(len(row) != n for row in m):
         raise MembershipError(f"expected a {n}x{n} matrix for {kind}")
-
-    terms: list[tuple[BasisElement, Fraction]] = []
-    if kind.family in (Family.SO, Family.GL):
-        if any(x.im for row in m for x in row):
-            raise MembershipError(f"complex entries are not admitted in {kind}")
-    if kind.family is Family.SO:
-        for i in range(n):
-            if m[i][i].re:
-                raise MembershipError("skew-symmetric matrices have zero diagonal")
-            for j in range(i + 1, n):
-                if m[i][j].re != -m[j][i].re:
-                    raise MembershipError("matrix is not skew-symmetric")
-                terms.append((BasisElement("B", i + 1, j + 1), m[i][j].re))
-    elif kind.family is Family.GL:
-        for i in range(n):
-            for j in range(n):
-                terms.append((BasisElement("E", i + 1, j + 1), m[i][j].re))
-    else:
-        trace = _Q0
-        for i in range(n):
-            if m[i][i].re:
-                raise MembershipError("skew-Hermitian matrices have imaginary diagonal")
-            trace += m[i][i].im
-            for j in range(i + 1, n):
-                if m[i][j].re != -m[j][i].re or m[i][j].im != m[j][i].im:
-                    raise MembershipError("matrix is not skew-Hermitian")
-                terms.append((BasisElement("B", i + 1, j + 1), m[i][j].re))
-                terms.append((BasisElement("C", i + 1, j + 1), m[i][j].im))
-        if trace:
-            raise MembershipError("matrix has nonzero trace")
-        # diagonal i*d_k entries: sum d_k = 0, so D_1k coefficients are -d_k
-        for k in range(2, n + 1):
-            terms.append((BasisElement("D", 1, k), -m[k - 1][k - 1].im))
-    return AlgebraElement.build(kind, terms)
+    terms = []
+    for b in canonical_basis(kind):
+        r, c, re, im = _ENTRIES[b.tag](b.i - 1, b.j - 1)[-1]
+        # Re(m_rc / unit), exact since the unit is 1, -1, i or -i
+        terms.append((b, m[r][c].re * re + m[r][c].im * im))
+    e = AlgebraElement.build(kind, terms)
+    if to_matrix(e) != tuple(map(tuple, m)):
+        raise MembershipError(f"matrix is not in {kind}")
+    return e
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:

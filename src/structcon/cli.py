@@ -74,7 +74,7 @@ def parse_spec(text: str) -> ZeroPatternPair:
     """Parse and validate a JSON spec document into a zero-pattern pair."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int-digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     algebra = _want(doc, "algebra", str, "document")
     try:
@@ -210,7 +210,7 @@ def _parse_trials(raw: str) -> int:
 
 def _drift_for_closure(pair: ZeroPatternPair, args: argparse.Namespace) -> AlgebraElement:
     if args.coeffs is None:
-        return sample_drift(pair.drift, args.pool, args.seed)
+        return sample_drift(pair.drift, args.pool or DEFAULT_POOL, args.seed or 0)
     coeffs = [_coeff(p, "--coeffs") for p in args.coeffs.split(",") if p.strip()]
     try:
         return drift_with(pair.drift, coeffs)
@@ -244,6 +244,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
+    # with --no-drift or --coeffs (exclusive in argparse) nothing is sampled
+    fixed = "--no-drift" if args.no_drift else "--coeffs" if args.coeffs is not None else None
+    sampled = "--seed" if args.seed is not None else "--pool" if args.pool is not None else None
+    if fixed and sampled:
+        raise ParseError(f"argument {sampled}: not allowed with argument {fixed}")
     pair = _read_spec(args.spec)
     generators = control_generators(pair.control)
     if not args.no_drift:
@@ -318,12 +323,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("closure", help="closure dimension of drift plus controls")
     p.add_argument("spec", help="spec file path, or - for stdin")
     _add_sampling_flags(p)
-    p.add_argument("--coeffs", default=None,
-                   help="explicit drift coefficients c1,c2,... instead of sampling")
-    p.add_argument("--no-drift", action="store_true",
-                   help="close the control generators alone")
+    fixed = p.add_mutually_exclusive_group()
+    fixed.add_argument("--coeffs", default=None,
+                       help="explicit drift coefficients c1,c2,... instead of sampling")
+    fixed.add_argument("--no-drift", action="store_true",
+                       help="close the control generators alone")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_closure)
+    # None marks a sampling flag as not given; the defaults apply in _drift_for_closure
+    p.set_defaults(fn=_cmd_closure, seed=None, pool=None)
 
     p = sub.add_parser("graph", help="emit a pattern graph as DOT")
     p.add_argument("spec", help="spec file path, or - for stdin")

@@ -108,6 +108,26 @@ def test_to_matrix_basis_definitions():
     assert all(not x for row in to_matrix(zero) for x in row)
 
 
+def _cmat(*rows):
+    """An exact matrix from rows of Gaussian-integer Python complexes."""
+    return tuple(tuple(Cq(Q(int(z.real)), Q(int(z.imag))) for z in row) for row in rows)
+
+
+# matrices just outside each algebra, each with the failing constraint
+_JUST_OUTSIDE = [
+    (so(3), _cmat([0, 0, 0], [0, 2, 0], [0, 0, 0])),        # nonzero diagonal
+    (so(3), _cmat([0, 1, 0], [1, 0, 0], [0, 0, 0])),        # symmetric pair
+    (so(3), _cmat([0, 1j, 0], [-1j, 0, 0], [0, 0, 0])),     # imaginary entry
+    (gl(2), _cmat([1j, 0], [0, 0])),                        # imaginary diagonal
+    (gl(2), _cmat([0, 2 + 1j], [0, 0])),                    # imaginary off-diagonal
+    (su(3), _cmat([0, 0, 0], [0, 1, 0], [0, 0, -1])),       # real diagonal
+    (su(3), _cmat([0, 1, 0], [1, 0, 0], [0, 0, 0])),        # m12 = m21 = 1
+    (su(3), _cmat([0, 1j, 0], [-1j, 0, 0], [0, 0, 0])),     # m12 = i, m21 = -i
+    (su(3), _cmat([1j, 0, 0], [0, 0, 0], [0, 0, 0])),       # nonzero trace
+    (so(2), _cmat([0, 1, 0], [-1, 0, 0])),                  # ragged 2x3
+]
+
+
 def test_decompose_round_trip_and_membership_errors():
     assert decompose(to_matrix(unit(so(2), "B", 1, 2)), so(2)) == unit(so(2), "B", 1, 2)
     assert decompose(to_matrix(unit(su(2), "D", 1, 2)), su(2)) == unit(su(2), "D", 1, 2)
@@ -121,6 +141,9 @@ def test_decompose_round_trip_and_membership_errors():
         decompose(complex_entry, gl(2))
     with pytest.raises(MembershipError):
         decompose(not_skew, so(3))  # wrong size
+    for kind, m in _JUST_OUTSIDE:
+        with pytest.raises(MembershipError):
+            decompose(m, kind)
 
 
 def test_bracket_structure_constant_examples():
@@ -230,6 +253,18 @@ def test_jacobi_su4(x, y, z):
 @given(e=_elements(su(4)))
 def test_matrix_round_trip_su4(e):
     assert decompose(to_matrix(e), su(4)) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=_elements(so(4)))
+def test_matrix_round_trip_so4(e):
+    assert decompose(to_matrix(e), so(4)) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=_elements(gl(3)))
+def test_matrix_round_trip_gl3(e):
+    assert decompose(to_matrix(e), gl(3)) == e
 
 
 @settings(max_examples=60, deadline=None)

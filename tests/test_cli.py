@@ -122,8 +122,9 @@ def test_cmd_oracle_cross_exit_codes(capsys):
     assert "Cross-check contradiction: no" in out
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200_000],
-                         ids=["not-utf8", "nested-200000-deep"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{", b"[" * 200_000, b'{"n": ' + b"1" * 5000 + b"}",
+], ids=["not-utf8", "nested-200000-deep", "int-5000-digits"])
 def test_hostile_spec_file_is_a_parse_error(tmp_path, capsys, content):
     spec = tmp_path / "hostile.json"
     spec.write_bytes(content)
@@ -191,6 +192,24 @@ def test_cmd_closure_coeffs_arity_error(capsys):
     assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,2"]) == 1
     assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,0,1"]) == 1
     assert "nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--no-drift", "--coeffs", "1,2"],
+    ["--no-drift", "--seed", "5"],
+    ["--no-drift", "--pool=1..3"],
+    ["--coeffs", "1,3,1", "--seed", "5"],
+    ["--coeffs", "1,3,1", "--pool=2"],
+], ids=["no-drift-coeffs", "no-drift-seed", "no-drift-pool", "coeffs-seed", "coeffs-pool"])
+def test_closure_drift_flags_exclude_each_other(flags, capsys):
+    # each fixes the drift its own way, so a second one would go unused
+    try:
+        code = main(["closure", spec_path("so6_bridged_triangles"), *flags])
+    except SystemExit as exc:  # argparse's own mutually exclusive group
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(f.split("=")[0] in err for f in flags if f.startswith("--"))
 
 
 def test_cmd_graph_dot(capsys):
