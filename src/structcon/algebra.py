@@ -598,9 +598,12 @@ class LieClosure:
     generator, or a vector the previous sweep inserted) is bracketed with the
     vectors spanning the state when its turn starts, and each bracket that
     raises the rank joins them and the next frontier, until the span
-    stabilizes or fills the whole algebra.  Each unordered pair is bracketed
-    at most once: [y, x] = -[x, y] lies in a span that only grows.  Pairs on
-    disjoint node sets are skipped, since such elements commute.  The state
+    stabilizes, fills the whole algebra or reaches a caller's `bound`.  A
+    bound is the dimension of a Lie algebra known to contain the closure: a
+    span of that rank inside it is all of it, so stopping there is exact.
+    Each unordered pair is bracketed at most once: [y, x] = -[x, y] lies in
+    a span that only grows.  Pairs on disjoint node sets are skipped, since
+    such elements commute.  The state
     can be copied cheaply and extended with more generators, which the
     sampling oracle uses to share the control-set closure across trials.
     """
@@ -650,10 +653,14 @@ class LieClosure:
             if self.ech.insert(vec):
                 self._push(vec)
 
-    def run(self) -> None:
+    def run(self, bound: int | None = None) -> None:
+        """Sweep until the span stabilizes, fills the algebra or reaches
+        `bound` (default: the algebra's dimension), which the caller
+        vouches is the dimension of a Lie algebra holding every generator."""
+        bound = self.dim if bound is None else bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
         # a sweep yields a frontier only when the rank grew, so this terminates
-        while len(reach) < len(spanning) and ech.rank < self.dim:
+        while len(reach) < len(spanning) and ech.rank < bound:
             end = len(spanning)
             for ix in range(len(reach), end):
                 x, mx, stop = spanning[ix], masks[ix], len(spanning)
@@ -667,9 +674,9 @@ class LieClosure:
                         z = _bracket_vec(x, spanning[iy], self.rules)
                         if z and ech.insert(z):
                             self._push(_primitive(z))
-                            if ech.rank == self.dim:
+                            if ech.rank == bound:
                                 break
-                if ech.rank == self.dim:
+                if ech.rank == bound:
                     break
             if len(spanning) > end:
                 self.steps += 1

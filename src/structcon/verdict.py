@@ -228,6 +228,15 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
 
     Deterministic per seed.  The control-set closure is computed once and
     extended per trial, which changes nothing about the resulting span.
+
+    Every sampled drift lies in span{A_1..A_m} of the drift bases, so every
+    trial closes inside the relaxed closure L(A_1..A_m, U) of the drift
+    bases and the controls U, and later trials stop as soon as their rank
+    reaches its dimension R.  This is exact: a span of rank R inside an
+    R-dimensional Lie algebra is that algebra.  R is read off the first
+    trial: if it is full, R is the algebra's dimension and nothing more is
+    computed; otherwise its closed state is extended with the drift bases
+    and run on.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -237,14 +246,20 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     base.add_generators(control_generators(pair.control))
     base.run()
 
+    target = kind.dimension
+    relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
         state = base.copy()
         state.add_generators([drift])
-        state.run()
+        state.run(relaxed)
         dims.append(state.rank)
-    target = kind.dimension
+        if relaxed is None:
+            if state.rank < target:
+                state.add_generators(pair.drift.bases)
+                state.run()
+            relaxed = state.rank
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
 
 

@@ -295,6 +295,21 @@ def reference_sweep(kind, batches):
     return spanning, steps, ech.rank
 
 
+def bracket_log(monkeypatch):
+    """Record the (x, y, rules) arguments of every bracket the closure evaluates."""
+    from structcon import algebra
+
+    log = []
+    original = algebra._bracket_vec
+
+    def counted(x, y, rules):
+        log.append((x, y, rules))
+        return original(x, y, rules)
+
+    monkeypatch.setattr(algebra, "_bracket_vec", counted)
+    return log
+
+
 def witness_is_odd_red_cycle(witness) -> bool:
     """Check a witness edge sequence is a closed walk with odd red count."""
     if not witness:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structcon import algebra
 from structcon.algebra import (
     AlgebraElement,
     BasisElement,
@@ -31,6 +30,7 @@ from structcon.errors import EmptyGenerators, KindMismatch, MembershipError
 
 from helpers import (
     DenseSpan,
+    bracket_log,
     brute_closure,
     brute_closure_dim,
     elem_matrix,
@@ -343,19 +343,6 @@ def _dense_su6_drift():
                                     for i in range(1, 6) for j in range(i + 1, 7)])
 
 
-def _bracket_log(monkeypatch):
-    """Record the (x, y, rules) arguments of every bracket the closure evaluates."""
-    log = []
-    original = algebra._bracket_vec
-
-    def counted(x, y, rules):
-        log.append((x, y, rules))
-        return original(x, y, rules)
-
-    monkeypatch.setattr(algebra, "_bracket_vec", counted)
-    return log
-
-
 def _assert_pairs_pruned(log):
     """One run bracketed no unordered pair twice and no pair on disjoint nodes."""
     pairs = [frozenset((id(x), id(y))) for x, y, _ in log]
@@ -376,7 +363,7 @@ def _assert_pairs_pruned(log):
 def test_closure_counters_pinned_and_scale_invariant(gens, expected, brackets, monkeypatch):
     # (dim, steps) as the sweep engine gives them, and the brackets it
     # evaluates; rescaling the generators changes none of them
-    log = _bracket_log(monkeypatch)
+    log = bracket_log(monkeypatch)
     basis, dim, steps = lie_closure(gens())
     assert (dim, steps) == expected
     _assert_pairs_pruned(log)

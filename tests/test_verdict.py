@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structcon import patterns
 from structcon import verdict as verdict_module
@@ -18,7 +20,14 @@ from structcon.algebra import (
     su,
 )
 from structcon.errors import KindMismatch
-from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair, sample_drift
+from structcon.patterns import (
+    DEFAULT_POOL,
+    ControlPattern,
+    DriftPattern,
+    ZeroPatternPair,
+    control_generators,
+    sample_drift,
+)
 from structcon.verdict import (
     GeneratedGl,
     Verdict,
@@ -33,7 +42,8 @@ from structcon.verdict import (
     oracle,
 )
 
-from helpers import random_pair
+from conftest import load_pair
+from helpers import bracket_log, kind_candidates, random_pair
 
 
 def elem(kind, *terms):
@@ -261,6 +271,78 @@ def test_oracle_deterministic(su5_pair):
     assert oracle(su5_pair, trials=3, seed=5) == oracle(su5_pair, trials=3, seed=5)
     with pytest.raises(ValueError):
         oracle(su5_pair, trials=0)
+
+
+@st.composite
+def _pairs(draw):
+    """A kind, 1-3 nonzero drift bases of 1-3 terms with coefficients
+    +-1..+-3, and 1-4 control bases."""
+    kind = draw(st.sampled_from([so(4), so(5), gl(3), su(3), su(4)]))
+    candidates = kind_candidates(kind)
+    terms = st.lists(st.tuples(st.sampled_from(candidates),
+                               st.sampled_from([-3, -2, -1, 1, 2, 3])), min_size=1, max_size=3)
+    base = terms.map(lambda t: AlgebraElement.build(kind, t)).filter(lambda e: not e.is_zero)
+    bases = draw(st.lists(base, min_size=1, max_size=3))
+    controls = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4))
+    return ZeroPatternPair(DriftPattern(kind, tuple(bases)), ControlPattern(kind, tuple(controls)))
+
+
+def _reference_dimensions(pair, trials, seed):
+    """Each trial closed on its own: no shared control closure, no bound."""
+    controls = control_generators(pair.control)
+    return tuple(lie_closure([sample_drift(pair.drift, DEFAULT_POOL, seed * 1_000_003 + t)]
+                             + controls)[1] for t in range(trials))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 50))
+def test_oracle_matches_independent_trials(pair, seed):
+    assert oracle(pair, trials=4, seed=seed).dimensions == _reference_dimensions(pair, 4, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 50))
+def test_relaxed_closure_bounds_every_trial(pair, seed):
+    # every rigid drift lies in span{A_k}, so L(drift, U) ⊆ L(A_1..A_m, U)
+    relaxed = lie_closure(list(pair.drift.bases) + control_generators(pair.control))[1]
+    assert all(d <= relaxed for d in oracle(pair, trials=4, seed=seed).dimensions)
+
+
+@pytest.mark.parametrize("drift,controls,dims", [
+    # trial 0 is full, so the relaxed closure is the whole algebra and is
+    # not computed; trial 6 still ends below full
+    ((so(5), [[("B", 1, 2, -2), ("B", 2, 3, 1)], [("B", 1, 2, -2), ("B", 1, 4, -4)]]),
+     [("B", 3, 5)], (10, 10, 10, 10, 10, 10, 4, 10)),
+    # trial 0 cancels its E31 terms and stops at 8; the relaxed closure it
+    # grows has dimension 11, which every later trial reaches
+    ((gl(4), [[("E", 3, 1, 4)], [("E", 1, 4, 4), ("E", 2, 4, -1)], [("E", 3, 1, 2)]]),
+     [("E", 3, 2), ("E", 4, 3)], (8, 11, 11, 11, 11, 11, 11, 11)),
+], ids=["so5-full-first", "gl4-cancelled-first"])
+def test_oracle_relaxed_bound_pinned(drift, controls, dims):
+    # both found by a seeded scan over random pairs
+    p = pattern(*drift, controls)
+    assert oracle(p, trials=8, seed=0).dimensions == dims == _reference_dimensions(p, 8, 0)
+
+
+@pytest.mark.parametrize("name,brackets", [
+    ("so6_bridged_triangles", 190),
+    ("gl4_pair_rings_loop", 297),
+    ("gl4_pair_rings_no_loop", 236),
+    ("gl4_unit_drift", 166),
+    ("su5_hub_with_loops", 81),
+    ("su6_two_triads", 332),
+])
+def test_oracle_bracket_counts_pinned(name, brackets, monkeypatch):
+    # gl4_pair_rings_no_loop never reaches full (726 brackets without the
+    # relaxed bound); the other specs are full on every trial, so the bound
+    # is never computed and their counts are those of plain closures
+    log = bracket_log(monkeypatch)
+    rep = oracle(load_pair(name), 8, 0)
+    assert len(log) == brackets
+    if name == "gl4_pair_rings_no_loop":
+        assert rep.dimensions == (15,) * 8
+    else:
+        assert rep.achieved_full and set(rep.dimensions) == {rep.target}
 
 
 def test_cross_validate_bundled_patterns(so6_pair, gl4_loop_pair, gl4_noloop_pair,
