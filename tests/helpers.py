@@ -3,8 +3,9 @@
 Everything here works on dense complex-rational matrices (entries are
 (re, im) Fraction pairs) with plain all-pairs commutator sweeps and dense
 Gaussian elimination.  None of it shares code with the package's sparse
-structure-constant route, so the two can check each other; the one exception
-is `reference_sweep`, which checks the closure loop alone.
+structure-constant route, so the two can check each other; the exceptions
+are `reference_sweep`, which checks the closure loop alone, and
+`bracket_log`, which counts the brackets the package evaluates.
 """
 
 from fractions import Fraction
