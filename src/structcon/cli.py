@@ -11,7 +11,8 @@ Spec files are JSON documents::
 
 Coefficients are rational strings ("3", "-1/2") or integers; indices are
 1-based.  Exit codes: 0 for any verdict, 1 for parse or usage errors, 2 for
-zero-pattern validation errors, 3 for a cross-validation contradiction.
+zero-pattern validation errors and for algebras too large to tabulate, 3 for
+a cross-validation contradiction.
 `--json` prints the fields of the result record (`Report`, `OracleReport`),
 with the verdict as its value.
 """

@@ -15,8 +15,6 @@ from typing import Sequence
 from .algebra import AlgebraElement, AlgebraKind, BasisElement, Family, validate_basis_element
 from .errors import EmptyPool, KindMismatch, ValidationError
 
-DEFAULT_POOL: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(-9, 10) if k)
-
 
 @dataclass(frozen=True)
 class DriftPattern:
@@ -67,16 +65,22 @@ class ZeroPatternPair:
 
 class _Pool(tuple):
     """A normalised coefficient pool: distinct nonzero `Fraction`s, sorted.
-    `sample_drift` draws from one as it is, so it is normalised only once."""
+    `_normalise_pool` and `sample_drift` take one as it is, so a pool is
+    normalised only once, `DEFAULT_POOL` at import."""
 
 
 def _normalise_pool(pool: Sequence[Fraction]) -> _Pool:
+    if isinstance(pool, _Pool):
+        return pool
     choices = _Pool(sorted(set(Fraction(c) for c in pool)))
     if any(not c for c in choices):
         raise EmptyPool("coefficient pool must not contain zero")
     if not choices:
         raise EmptyPool("coefficient pool is empty")
     return choices
+
+
+DEFAULT_POOL = _normalise_pool([k for k in range(-9, 10) if k])
 
 
 def drift_with(pattern: DriftPattern, coeffs: Sequence[Fraction]) -> AlgebraElement:

@@ -274,6 +274,8 @@ def _contradicts(verdict: Verdict, orc: OracleReport) -> bool:
 def cross_validate(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
                    pool: Sequence[Fraction] = DEFAULT_POOL) -> Report:
     """Run the kind-appropriate checker and the oracle; flag any disagreement."""
-    report = check(pair)
+    # the oracle goes first: it refuses an algebra too large to tabulate
+    # before the checker walks the pattern graphs of all n nodes
     orc = oracle(pair, trials=trials, seed=seed, pool=pool)
+    report = check(pair)
     return replace(report, oracle=orc, contradiction=_contradicts(report.verdict, orc))

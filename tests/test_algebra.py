@@ -26,7 +26,7 @@ from structcon.algebra import (
     su,
     to_matrix,
 )
-from structcon.errors import EmptyGenerators, KindMismatch, MembershipError
+from structcon.errors import EmptyGenerators, KindMismatch, MembershipError, ValidationError
 
 from helpers import (
     DenseSpan,
@@ -82,11 +82,24 @@ def test_basis_element_validation():
         BasisElement("D", 3, 3)
     with pytest.raises(ValueError):
         BasisElement("X", 1, 2)
+    for tag in ("", "BC", "CD", "BCD"):  # a tag is one whole letter
+        with pytest.raises(ValueError, match="unknown basis tag"):
+            BasisElement(tag, 1, 2)
+        assert not any(kind.admits(tag) for kind in (so(3), gl(3), su(3)))
     BasisElement("E", 3, 3)  # diagonal units are fine
     with pytest.raises(KindMismatch):
         AlgebraElement.basis(so(3), "E", 1, 2)
     with pytest.raises(KindMismatch):
         AlgebraElement.basis(so(3), "B", 1, 4)
+
+
+def test_rule_table_size_limit(monkeypatch):
+    import structcon.algebra as algebra
+
+    monkeypatch.setattr(algebra, "_MAX_DIMENSION", 10)
+    assert len(_Rules(so(5)).basis) == 10
+    with pytest.raises(ValidationError, match=r"so\(6\) has dimension 15, over the limit of 10"):
+        _Rules(so(6))
 
 
 def test_d_terms_are_rewritten_to_first_row():

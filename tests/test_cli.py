@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -47,12 +48,30 @@ def test_parse_spec_accepts_rational_strings():
     (lambda d: d["drift"][0]["terms"][0].update(basis="E"), ValidationError),
     (lambda d: d["control"][0].update(i=9), ValidationError),
     (lambda d: d["control"][0].update(i=2, j=1), ValidationError),
+    (lambda d: d["drift"][0]["terms"][0].update(basis=""), ValidationError),
+    (lambda d: d["control"][0].update(basis=""), ValidationError),
 ])
 def test_parse_spec_failures(mutate, expected):
     doc = json.loads(load_spec_text("so6_bridged_triangles"))
     mutate(doc)
     with pytest.raises(expected):
         parse_spec(json.dumps(doc))
+
+
+def su3_spec(drift_tag: str = "B", control_tag: str = "C") -> dict:
+    return {
+        "algebra": "su", "n": 3,
+        "drift": [{"terms": [{"basis": drift_tag, "i": 1, "j": 2, "coeff": "1"}]}],
+        "control": [{"basis": control_tag, "i": 1, "j": 2}],
+    }
+
+
+@pytest.mark.parametrize("tag", ["BC", "CD", "BCD"])
+def test_multi_letter_tags_are_validation_errors(tag):
+    # each letter is an su tag, but a tag is one whole letter
+    for doc in (su3_spec(drift_tag=tag), su3_spec(control_tag=tag)):
+        with pytest.raises(ValidationError, match="unknown basis tag"):
+            parse_spec(json.dumps(doc))
 
 
 def test_parse_spec_rejects_non_json():
@@ -98,6 +117,13 @@ def test_cmd_check_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad)]) == 2
+
+
+def test_cmd_report_multi_letter_tag_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(su3_spec(control_tag="BC")))
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("structcon: validation error: control[0]")
 
 
 def test_cmd_oracle(capsys):
@@ -249,6 +275,23 @@ def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"]["dimensions"] == [3] * 8
     assert payload["contradiction"] is False
+
+
+def test_algebra_too_large_to_tabulate_fails_fast(tmp_path, capsys):
+    # su(100000) has dimension 10^10 - 1: `check` reads only the pattern
+    # graphs, while `report` would need the structure-constant table
+    spec = tmp_path / "su100000.json"
+    spec.write_text(json.dumps({
+        "algebra": "su", "n": 100_000,
+        "drift": [{"terms": [{"basis": "B", "i": 1, "j": 2, "coeff": "1"}]}],
+        "control": [{"basis": "C", "i": 1, "j": 2}],
+    }))
+    start = time.perf_counter()
+    assert main(["report", str(spec)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "dimension 9999999999" in err and "limit of 1000000" in err
+    assert main(["check", str(spec)]) == 0
 
 
 def test_stdin_spec(monkeypatch, capsys):

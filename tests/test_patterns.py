@@ -9,6 +9,7 @@ from structcon.patterns import (
     ControlPattern,
     DriftPattern,
     ZeroPatternPair,
+    _normalise_pool,
     control_generators,
     drift_is_basis_subset,
     drift_with,
@@ -88,6 +89,11 @@ def test_sample_drift_single_base_and_empty_pool():
         sample_drift(p, [], seed=0)
     with pytest.raises(EmptyPool):
         sample_drift(p, [Fraction(0), Fraction(1)], seed=0)
+
+
+def test_default_pool_is_normalised_once():
+    assert DEFAULT_POOL == tuple(Fraction(k) for k in range(-9, 10) if k)
+    assert _normalise_pool(DEFAULT_POOL) is DEFAULT_POOL
 
 
 def test_drift_with_is_the_rigid_sum_sample_drift_draws():
