@@ -58,6 +58,11 @@ _KIND_CACHE_SIZE = 32
 # 3.11), and the cost grows with the element count up to su(1000)
 _MAX_DIMENSION = 10**6
 
+# largest n an algebra may have.  The pattern graphs and their walks hold
+# every node, so memory grows with n alone: `check` on a two-edge su(10^6)
+# spec peaks at about 0.6 GB RSS (Python 3.11)
+_MAX_N = 10**5
+
 
 @dataclass(frozen=True)
 class AlgebraKind:
@@ -69,6 +74,8 @@ class AlgebraKind:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"algebra size must be at least 2, got {self.n}")
+        if self.n > _MAX_N:
+            raise ValueError(f"algebra size must be at most {_MAX_N}, got {self.n}")
 
     @property
     def dimension(self) -> int:

@@ -9,10 +9,11 @@ Spec files are JSON documents::
       "control": [{"basis": "B", "i": 1, "j": 2}, ...]
     }
 
-Coefficients are rational strings ("3", "-1/2") or integers; indices are
-1-based.  Exit codes: 0 for any verdict, 1 for parse or usage errors, 2 for
-zero-pattern validation errors and for algebras too large to tabulate, 3 for
-a cross-validation contradiction.
+Coefficients are rational strings ("3", "-1/2", "2.5e-3") or integers, an
+exponent at most `sys.get_int_max_str_digits()` in magnitude; indices are
+1-based and n is at most 10^5.  Exit codes: 0 for any verdict, 1 for parse
+or usage errors, 2 for zero-pattern validation errors, for n over 10^5 and
+for algebras too large to tabulate, 3 for a cross-validation contradiction.
 `--json` prints the fields of the result record (`Report`, `OracleReport`),
 with the verdict as its value.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -52,10 +54,22 @@ def _want(doc: Any, key: str, types: type | tuple, where: str) -> Any:
     return value
 
 
+# the exponent of a decimal string such as "2.5e-3"
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def _coeff(raw: Any, where: str) -> Fraction:
+    """The one parser from a spec or command line value to a `Fraction`."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ParseError(f"{where}: coefficient must be an integer or a rational string")
     try:
+        # Fraction("1e9999999") alone takes seconds; bound the exponent as
+        # Python bounds the digits of an integer literal (0: no bound; the
+        # default 4300 where Python predates the bound, before 3.10.7)
+        exponent = _EXPONENT.search(raw) if isinstance(raw, str) else None
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent over the limit of {limit}")
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad coefficient {raw!r}: {exc}") from None
@@ -195,8 +209,8 @@ def _parse_pool(raw: str) -> tuple[Fraction, ...]:
                 raise argparse.ArgumentTypeError(
                     f"bad pool {raw!r}: a range spans at most {_MAX_COUNT} values")
             return _normalise_pool([k for k in range(lo, hi + 1) if k != 0])
-        return _normalise_pool([part for part in raw.split(",") if part.strip()])
-    except (EmptyPool, ValueError, ZeroDivisionError) as exc:
+        return _normalise_pool([_coeff(p, "pool entry") for p in raw.split(",") if p.strip()])
+    except (EmptyPool, ParseError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad pool {raw!r}: {exc}") from None
 
 
@@ -233,8 +247,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.cross:
-        return _cmd_report(args)
     pair = _read_spec(args.spec)
     orc = verdict_mod.oracle(pair, trials=args.trials, seed=args.seed, pool=args.pool)
     if args.json:
@@ -316,8 +328,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="run the sampled rank oracle")
     p.add_argument("spec", help="spec file path, or - for stdin")
     _add_oracle_flags(p)
-    p.add_argument("--cross", action="store_true",
-                   help="also run the checker; exit 3 on contradiction")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
 

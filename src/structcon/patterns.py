@@ -65,8 +65,8 @@ class ZeroPatternPair:
 
 class _Pool(tuple):
     """A normalised coefficient pool: distinct nonzero `Fraction`s, sorted.
-    `_normalise_pool` and `sample_drift` take one as it is, so a pool is
-    normalised only once, `DEFAULT_POOL` at import."""
+    `_normalise_pool` hands one back as it is, so a pool is normalised only
+    once, `DEFAULT_POOL` at import."""
 
 
 def _normalise_pool(pool: Sequence[Fraction]) -> _Pool:
@@ -101,7 +101,7 @@ def drift_with(pattern: DriftPattern, coeffs: Sequence[Fraction]) -> AlgebraElem
 def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:
     """Deterministic rigid-pattern sample: `drift_with` pool coefficients
     drawn in base order."""
-    choices = pool if isinstance(pool, _Pool) else _normalise_pool(pool)
+    choices = _normalise_pool(pool)
     rng = random.Random(seed)
     return drift_with(pattern, [rng.choice(choices) for _ in pattern.bases])
 

@@ -136,7 +136,8 @@ def check_su(pair: ZeroPatternPair) -> Report:
     contr = graphs.contr_graph(pair.control)
     u = graphs.union(drift, contr)
 
-    contr_connected = analysis.is_connected(contr)
+    comps = analysis.components(contr)
+    contr_connected = len(comps) == 1
     odd_red, _ = analysis.has_odd_red_cycle(u)
     feature = bool(analysis.green_loops(u)) or odd_red
 
@@ -150,7 +151,7 @@ def check_su(pair: ZeroPatternPair) -> Report:
         return Report(verdict, conditions, None, False, "Theorem 4")
 
     union_connected = analysis.is_connected(u)
-    comps_ok = all(len(c) >= 3 for c in analysis.components(contr))
+    comps_ok = all(len(c) >= 3 for c in comps)
     drift_simple = not analysis.has_multi_edge(drift)
     conditions = (
         ConditionEval("controlled graph connected", False, "Theorem 4 hypothesis"),

@@ -75,6 +75,16 @@ def test_dimension_counts_the_canonical_basis(make):
     assert [str(b) for b in canonical_basis(gl(2))] == ["E11", "E12", "E21", "E22"]
 
 
+def test_algebra_size_is_bounded():
+    # every pattern graph holds all n nodes, so n is refused past 10^5
+    assert su(10**5).n == 10**5
+    for make in (so, gl, su):
+        with pytest.raises(ValueError, match="at most 100000"):
+            make(10**5 + 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            make(1)
+
+
 def test_basis_element_validation():
     with pytest.raises(ValueError):
         BasisElement("B", 2, 1)

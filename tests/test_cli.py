@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from structcon.algebra import BasisElement
 from structcon.cli import main, pair_to_document, parse_spec
 from structcon.errors import ParseError, ValidationError
 
@@ -58,10 +60,11 @@ def test_parse_spec_failures(mutate, expected):
         parse_spec(json.dumps(doc))
 
 
-def su3_spec(drift_tag: str = "B", control_tag: str = "C") -> dict:
+def su_spec(n: int = 3, drift_tag: str = "B", control_tag: str = "C", coeff: str = "1") -> dict:
+    """su(n) with the drift coeff·B12 and the control C12 (tags replaceable)."""
     return {
-        "algebra": "su", "n": 3,
-        "drift": [{"terms": [{"basis": drift_tag, "i": 1, "j": 2, "coeff": "1"}]}],
+        "algebra": "su", "n": n,
+        "drift": [{"terms": [{"basis": drift_tag, "i": 1, "j": 2, "coeff": coeff}]}],
         "control": [{"basis": control_tag, "i": 1, "j": 2}],
     }
 
@@ -69,7 +72,7 @@ def su3_spec(drift_tag: str = "B", control_tag: str = "C") -> dict:
 @pytest.mark.parametrize("tag", ["BC", "CD", "BCD"])
 def test_multi_letter_tags_are_validation_errors(tag):
     # each letter is an su tag, but a tag is one whole letter
-    for doc in (su3_spec(drift_tag=tag), su3_spec(control_tag=tag)):
+    for doc in (su_spec(drift_tag=tag), su_spec(control_tag=tag)):
         with pytest.raises(ValidationError, match="unknown basis tag"):
             parse_spec(json.dumps(doc))
 
@@ -121,7 +124,7 @@ def test_cmd_check_validation_exit_code(tmp_path, capsys):
 
 def test_cmd_report_multi_letter_tag_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(su3_spec(control_tag="BC")))
+    bad.write_text(json.dumps(su_spec(control_tag="BC")))
     assert main(["report", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("structcon: validation error: control[0]")
 
@@ -143,9 +146,16 @@ def test_cmd_oracle_not_full(capsys):
 
 
 def test_cmd_oracle_cross_exit_codes(capsys):
-    assert main(["oracle", spec_path("su5_hub_with_loops"), "--cross"]) == 0
-    out = capsys.readouterr().out
-    assert "Cross-check contradiction: no" in out
+    # `report` is the one cross-check command; `oracle --cross` is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", spec_path("su5_hub_with_loops"), "--cross"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--cross" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert "--cross" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [
@@ -266,11 +276,7 @@ def test_cmd_report(capsys):
 def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys):
     # su(200) has dimension 39999, but B12 and C12 close to a 3-dimensional su(2)
     spec = tmp_path / "su200.json"
-    spec.write_text(json.dumps({
-        "algebra": "su", "n": 200,
-        "drift": [{"terms": [{"basis": "B", "i": 1, "j": 2, "coeff": "1"}]}],
-        "control": [{"basis": "C", "i": 1, "j": 2}],
-    }))
+    spec.write_text(json.dumps(su_spec(200)))
     assert main(["report", str(spec), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"]["dimensions"] == [3] * 8
@@ -281,17 +287,65 @@ def test_algebra_too_large_to_tabulate_fails_fast(tmp_path, capsys):
     # su(100000) has dimension 10^10 - 1: `check` reads only the pattern
     # graphs, while `report` would need the structure-constant table
     spec = tmp_path / "su100000.json"
-    spec.write_text(json.dumps({
-        "algebra": "su", "n": 100_000,
-        "drift": [{"terms": [{"basis": "B", "i": 1, "j": 2, "coeff": "1"}]}],
-        "control": [{"basis": "C", "i": 1, "j": 2}],
-    }))
+    spec.write_text(json.dumps(su_spec(100_000)))
     start = time.perf_counter()
     assert main(["report", str(spec)]) == 2
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert "dimension 9999999999" in err and "limit of 1000000" in err
     assert main(["check", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["check"], ["graph", "--which", "union"], ["report"]],
+                         ids=lambda argv: argv[0])
+def test_more_than_1e5_nodes_fails_fast(argv, tmp_path, capsys):
+    # the pattern graphs hold every node, so n itself is bounded
+    spec = tmp_path / "su100001.json"
+    spec.write_text(json.dumps(su_spec(100_001)))
+    start = time.perf_counter()
+    assert main([argv[0], str(spec), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "validation error" in err and "at most 100000, got 100001" in err
+
+
+@pytest.mark.parametrize("coeff", ["1e9999999", "-3e-9999999", "1e4301"])
+def test_huge_exponent_in_spec_is_a_parse_error(coeff, tmp_path, capsys):
+    # Fraction("1e9999999") alone takes seconds; the exponent is refused first
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(su_spec(coeff=coeff)))
+    start = time.perf_counter()
+    assert main(["report", str(spec)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("structcon: parse error: drift[0].terms[0]: bad coefficient")
+    assert "exponent over the limit of" in err
+
+
+def test_huge_exponent_in_coeffs_is_a_parse_error(capsys):
+    start = time.perf_counter()
+    assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,1e9999999,1"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("structcon: parse error: --coeffs: bad coefficient '1e9999999'")
+
+
+def test_huge_exponent_in_pool_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", spec_path("so6_bridged_triangles"), "--pool=1,1e9999999"])
+    assert exc.value.code == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "argument --pool: bad pool" in err and "exponent over the limit of" in err
+
+
+@pytest.mark.parametrize("coeff,value", [("1e3", 1000), ("2.5", Fraction(5, 2)),
+                                         ("4e-2", Fraction(1, 25))], ids=["1e3", "2.5", "4e-2"])
+def test_moderate_exponents_and_decimals_still_parse(coeff, value):
+    # "-1/2" is test_parse_spec_accepts_rational_strings
+    pair = parse_spec(json.dumps(su_spec(coeff=coeff)))
+    assert dict(pair.drift.bases[0].items()) == {BasisElement("B", 1, 2): value}
 
 
 def test_stdin_spec(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 `check`, `report` and `closure --json` are compared with the goldens the
 benchmark checks its cold CLI requests against (`bench/golden/cli`, read
-only here), and `oracle --cross` with the `report` golden;
+only here);
 `graph --which drift|contr|union` is compared with `tests/golden/dot`, and
 `check`, `report` and `oracle` with `--json` with `tests/golden/json`.
 Rebuilding a layer must leave every byte in place.
@@ -54,12 +54,6 @@ def test_graph_dot_matches_golden(name, which, capsys):
 def test_json_output_matches_golden(name, command, capsys):
     out = _stdout(capsys, [command, str(SPECS / f"{name}.json"), "--json"])
     assert out == (JSON_GOLDEN / f"{name}.{command}.json").read_bytes().decode("utf-8")
-
-
-@pytest.mark.parametrize("name", SPEC_NAMES)
-def test_oracle_cross_matches_report_golden(name, capsys):
-    out = _stdout(capsys, ["oracle", str(SPECS / f"{name}.json"), "--cross"])
-    assert out == (CLI_GOLDEN / f"{name}.report.out").read_bytes().decode("utf-8")
 
 
 def _bench_workloads():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structcon import patterns
+from structcon import analysis, graphs, patterns
 from structcon import verdict as verdict_module
 from structcon.algebra import (
     AlgebraElement,
@@ -130,6 +130,25 @@ def test_check_su_multi_edge_drift_blocks_theorem5():
     assert by_name["union graph has a self-loop or an odd-red cycle"]
 
 
+@pytest.mark.parametrize("name,theorem", [("su5_hub_with_loops", "Theorem 4"),
+                                          ("su6_two_triads", "Theorem 5")],
+                         ids=["su5_hub_with_loops", "su6_two_triads"])
+def test_check_su_walks_the_controlled_graph_once(name, theorem, monkeypatch):
+    # su5's controlled graph is connected (Theorem 4), su6's is not (Theorem 5):
+    # either branch reads the controlled components from one walk
+    pair = load_pair(name)
+    contr = graphs.contr_graph(pair.control)
+    components, walked = analysis.components, []
+
+    def counting(g):
+        walked.append(g)
+        return components(g)
+
+    monkeypatch.setattr(analysis, "components", counting)
+    assert check_su(pair).decided_by == theorem
+    assert walked.count(contr) == 1
+
+
 def test_check_kind_dispatch_and_mismatch(so6_pair, su5_pair):
     assert check(so6_pair).verdict is Verdict.SUFFICIENT_YES
     with pytest.raises(KindMismatch):
@@ -243,11 +262,13 @@ def test_oracle_reports(so6_pair, gl4_noloop_pair):
 
 def test_oracle_normalises_the_pool_once(monkeypatch, so6_pair, gl4_noloop_pair):
     # one normalisation per oracle call, however many trials; the dimensions
-    # are those of normalising the pool again for each trial
+    # are those of normalising the pool again for each trial.  A `_Pool`
+    # passes through untouched, so only the calls that do work are counted
     normalise, calls = patterns._normalise_pool, []
 
     def counting(pool):
-        calls.append(len(pool))
+        if not isinstance(pool, patterns._Pool):
+            calls.append(len(pool))
         return normalise(pool)
 
     monkeypatch.setattr(patterns, "_normalise_pool", counting)
