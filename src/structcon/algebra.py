@@ -605,28 +605,53 @@ class SpanBasis:
 class LieClosure:
     """Incremental bracket-closure state.
 
-    The closure runs sweep by sweep.  In a sweep, each frontier vector (a new
-    generator, or a vector the previous sweep inserted) is bracketed with the
-    vectors spanning the state when its turn starts, and each bracket that
-    raises the rank joins them and the next frontier, until the span
-    stabilizes, fills the whole algebra or reaches a caller's `bound`.  A
-    bound is the dimension of a Lie algebra known to contain the closure: a
-    span of that rank inside it is all of it, so stopping there is exact.
+    The closure runs sweep by sweep, in FIFO order.  In a sweep, each
+    frontier vector (a new generator, or a vector the previous sweep
+    inserted) takes its turn: it is bracketed with vectors spanning the state
+    when its turn starts, and each bracket that raises the rank joins them
+    and the next frontier, until the span stabilizes, fills the whole algebra
+    or reaches a caller's `bound`.  A bound is the dimension of a Lie algebra
+    known to contain the closure: a span of that rank inside it is all of it,
+    so stopping there is exact.
+
+    The pair rule is generator-adjoint.  L(S) is the smallest subspace that
+    contains S and is invariant under ad_s for each s in S (the LieTree
+    construction in D. Elliott, *Bilinear Control Systems*, 2009), so a
+    generator's turn brackets it with every spanning vector present, and any
+    other vector's turn brackets it with the generators present only.  Each
+    bracket is evaluated with the generator on the left, so structure-constant
+    rows are built only for the generators' supports; a bracket's sign does
+    not matter, since elimination is linear and `_primitive` fixes it.  The
+    raw primitive brackets join the queue, not their echelon residuals:
+    queuing residuals, or taking the newest vector first, makes the
+    coefficients blow up.
+
     Each unordered pair is bracketed at most once: [y, x] = -[x, y] lies in
     a span that only grows.  Pairs on disjoint node sets are skipped, since
-    such elements commute.  The state
-    can be copied cheaply and extended with more generators, which the
-    sampling oracle uses to share the control-set closure across trials.
+    such elements commute.  The state can be copied cheaply and extended with
+    more generators, which the sampling oracle uses to share the control-set
+    closure across trials: the added drift's turn then meets that whole
+    basis.
+
+    `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
+    a generator too, which brackets every pair: the all-pairs sweep whose
+    sweep count `lie_closure` reports as `steps`.  It goes once `steps` is
+    redefined as bracket depth and the pinned outputs are re-recorded.
     """
 
-    def __init__(self, kind: AlgebraKind):
+    def __init__(self, kind: AlgebraKind, *, _sweep: bool = False):
         self.kind = kind
         self.dim = kind.dimension
         self.rules = _rules(kind)
         self.ech = _Echelon()
-        # primitive integer vectors and the bit masks of their nodes
+        self.sweep = _sweep
+        # primitive integer vectors, the bit masks of their nodes, and
+        # whether each is a generator; `generators` lists the generators'
+        # positions in `spanning`
         self.spanning: list[dict[int, int]] = []
         self.masks: list[int] = []
+        self.is_generator: list[bool] = []
+        self.generators: list[int] = []
         # reach[k]: len(spanning) when vector k's turn started; the vectors
         # past len(reach) have had no turn yet and form the frontier
         self.reach: list[int] = []
@@ -638,8 +663,11 @@ class LieClosure:
         new.dim = self.dim
         new.rules = self.rules
         new.ech = self.ech.copy()
+        new.sweep = self.sweep
         new.spanning = list(self.spanning)
         new.masks = list(self.masks)
+        new.is_generator = list(self.is_generator)
+        new.generators = list(self.generators)
         new.reach = list(self.reach)
         new.steps = self.steps
         return new
@@ -648,13 +676,16 @@ class LieClosure:
     def rank(self) -> int:
         return self.ech.rank
 
-    def _push(self, vec: dict[int, int]) -> None:
+    def _push(self, vec: dict[int, int], generator: bool) -> None:
         nodes = self.rules.nodes
         mask = 0
         for idx in vec:
             mask |= nodes[idx]
+        if generator:
+            self.generators.append(len(self.spanning))
         self.spanning.append(vec)
         self.masks.append(mask)
+        self.is_generator.append(generator)
 
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
         for e in elements:
@@ -662,7 +693,7 @@ class LieClosure:
                 raise KindMismatch(f"generator of {e.kind} in a {self.kind} closure")
             vec = _integral(e.to_vector())
             if self.ech.insert(vec):
-                self._push(vec)
+                self._push(vec, True)
 
     def run(self, bound: int | None = None) -> None:
         """Sweep until the span stabilizes, fills the algebra or reaches
@@ -670,19 +701,26 @@ class LieClosure:
         vouches is the dimension of a Lie algebra holding every generator."""
         bound = self.dim if bound is None else bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
+        is_generator, rules, sweep = self.is_generator, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
         while len(reach) < len(spanning) and ech.rank < bound:
             end = len(spanning)
             for ix in range(len(reach), end):
                 x, mx, stop = spanning[ix], masks[ix], len(spanning)
                 reach.append(stop)
-                # an earlier y whose turn reached past ix already met x, so
-                # [x, y] = -[y, x] is in the span; x skips itself and those
-                for iy in range(stop):
+                # a generator meets every vector present, any other vector
+                # the generators only, which are all present by now
+                x_gen = is_generator[ix]
+                for iy in range(stop) if x_gen else self.generators:
+                    # an earlier y whose turn reached past ix already met x,
+                    # so [x, y] = -[y, x] is in the span; x skips itself and those
                     if (iy > ix or reach[iy] <= ix) and mx & masks[iy]:
-                        z = _bracket_vec(x, spanning[iy], self.rules)
+                        if x_gen:
+                            z = _bracket_vec(x, spanning[iy], rules)
+                        else:
+                            z = _bracket_vec(spanning[iy], x, rules)
                         if z and ech.insert(z):
-                            self._push(_primitive(z))
+                            self._push(_primitive(z), sweep)
                             if ech.rank == bound:
                                 break
                 if ech.rank == bound:
@@ -698,12 +736,15 @@ class LieClosure:
 def lie_closure(generators: list[AlgebraElement]) -> tuple[SpanBasis, int, int]:
     """Span of the Lie subalgebra generated by the given elements.
 
-    Returns (span basis, dimension, sweeps until stabilization).
+    Returns (span basis, dimension, sweeps until stabilization).  The
+    closure brackets every pair of spanning vectors (`LieClosure`'s sweep
+    case), since its sweep count is the `steps` that `structcon closure`
+    prints.
     """
     if not generators:
         raise EmptyGenerators("closure needs at least one generator")
     kind = generators[0].kind
-    state = LieClosure(kind)
+    state = LieClosure(kind, _sweep=True)
     state.add_generators(generators)
     state.run()
     return state.basis(), state.rank, state.steps

@@ -12,8 +12,10 @@ Spec files are JSON documents::
 Coefficients are rational strings ("3", "-1/2", "2.5e-3") or integers, an
 exponent at most `sys.get_int_max_str_digits()` in magnitude; indices are
 1-based and n is at most 10^5.  Exit codes: 0 for any verdict, 1 for parse
-or usage errors, 2 for zero-pattern validation errors, for n over 10^5 and
-for algebras too large to tabulate, 3 for a cross-validation contradiction.
+or usage errors and for closure rows with a coefficient past the int-digit
+limit, which cannot be printed, 2 for zero-pattern validation errors, for n
+over 10^5 and for algebras too large to tabulate, 3 for a cross-validation
+contradiction.
 `--json` prints the fields of the result record (`Report`, `OracleReport`),
 with the verdict as its value.
 """
@@ -267,19 +269,23 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     if not args.no_drift:
         generators = [_drift_for_closure(pair, args)] + generators
     basis, dim, steps = lie_closure(generators)
+    try:
+        rows = [repr(r) for r in basis.rows]
+    except ValueError as exc:  # a coefficient past the int-digit limit
+        raise ParseError(f"cannot print the closure rows: {exc}") from None
     if args.json:
         _print_json({
             "dimension": dim,
             "target": pair.kind.dimension,
             "steps": steps,
-            "rows": [repr(r) for r in basis.rows],
+            "rows": rows,
         })
         return 0
     print(f"Generators: {len(generators)}")
     print(f"Closure dimension: {dim} of {pair.kind.dimension} in {pair.kind} ({steps} sweeps)")
     print("Basis rows:")
-    for r in basis.rows:
-        print(f"  {r!r}")
+    for r in rows:
+        print(f"  {r}")
     return 0
 
 

@@ -229,6 +229,10 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
 
     Deterministic per seed.  The control-set closure is computed once and
     extended per trial, which changes nothing about the resulting span.
+    Every closure here uses `LieClosure`'s generator-adjoint pair rule: a
+    trial's drift is bracketed with the whole control-closure basis, and each
+    vector inserted after it with the controls and the drift only.  Trials
+    report dimensions alone, so the order of insertion does not show.
 
     Every sampled drift lies in span{A_1..A_m} of the drift bases, so every
     trial closes inside the relaxed closure L(A_1..A_m, U) of the drift

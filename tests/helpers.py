@@ -4,8 +4,9 @@ Everything here works on dense complex-rational matrices (entries are
 (re, im) Fraction pairs) with plain all-pairs commutator sweeps and dense
 Gaussian elimination.  None of it shares code with the package's sparse
 structure-constant route, so the two can check each other; the exceptions
-are `reference_sweep`, which checks the closure loop alone, and
-`bracket_log`, which counts the brackets the package evaluates.
+are `reference_sweep` and `reference_adjoint`, which check the closure
+loop alone, and `bracket_log` and `fresh_rules`, which watch the brackets
+the package evaluates and the structure-constant rows it builds.
 """
 
 from fractions import Fraction
@@ -294,6 +295,59 @@ def reference_sweep(kind, batches):
                 steps += 1
             frontier = produced
     return spanning, steps, ech.rank
+
+
+def reference_adjoint(kind, batches):
+    """Closure by the literal generator-adjoint loop: a FIFO queue of the
+    spanning vectors, each bracketed in its turn with every vector present if
+    it is a generator and with the generators present if not, generator on
+    the left, and each unordered pair once.
+
+    Batches and bracket routine as in `reference_sweep`; the rule holds the
+    pairs already bracketed in a set.  Returns (spanning vectors, rank).
+    """
+    from collections import deque
+
+    from structcon.algebra import _bracket_vec, _Echelon, _integral, _primitive, _rules
+
+    rules, dim = _rules(kind), kind.dimension
+    ech = _Echelon()
+    spanning, generators, done, queue = [], set(), set(), deque()
+    for batch in batches:
+        for e in batch:
+            vec = _integral(e.to_vector())
+            if ech.insert(vec):
+                generators.add(len(spanning))
+                queue.append(len(spanning))
+                spanning.append(vec)
+        while queue and ech.rank < dim:
+            ix = queue.popleft()
+            partners = range(len(spanning)) if ix in generators else sorted(generators)
+            for iy in partners:
+                pair = frozenset((ix, iy))
+                if iy == ix or pair in done:
+                    continue
+                done.add(pair)
+                left, right = (ix, iy) if ix in generators else (iy, ix)
+                z = _bracket_vec(spanning[left], spanning[right], rules)
+                if z and ech.insert(z):
+                    queue.append(len(spanning))
+                    spanning.append(_primitive(z))
+                    if ech.rank == dim:
+                        break
+    return spanning, ech.rank
+
+
+def fresh_rules(monkeypatch):
+    """Give every kind a new, empty structure-constant table for the rest of
+    the test and return the table lookup, so the test sees the rows it builds."""
+    import functools
+
+    from structcon import algebra
+
+    tables = functools.lru_cache(maxsize=None)(algebra._Rules)
+    monkeypatch.setattr(algebra, "_rules", tables)
+    return tables
 
 
 def bracket_log(monkeypatch):

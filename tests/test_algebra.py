@@ -36,6 +36,7 @@ from helpers import (
     elem_matrix,
     flatten,
     kind_candidates,
+    reference_adjoint,
     reference_sweep,
 )
 
@@ -411,10 +412,10 @@ def _generator_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=_generator_sets())
 def test_closure_matches_reference_sweep(data):
-    # same inserted vectors in the same order, same steps and rank, both for
-    # one closure and for the oracle's copy-extend-run pattern
+    # `lie_closure`'s sweep: same inserted vectors in the same order, same
+    # steps and rank, both for one closure and for copy-extend-run
     kind, gens, extra = data
-    state = LieClosure(kind)
+    state = LieClosure(kind, _sweep=True)
     state.add_generators(gens)
     state.run()
     base = reference_sweep(kind, [gens])
@@ -425,6 +426,27 @@ def test_closure_matches_reference_sweep(data):
     assert (extended.spanning, extended.steps, extended.rank) == reference_sweep(kind, [gens, [extra]])
     # the copy shares nothing that its run changes with the base state
     assert (state.spanning, state.steps, state.rank) == base
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_generator_sets())
+def test_closure_matches_reference_adjoint(data):
+    # the oracle's closures: same inserted vectors in the same order and
+    # same rank as the literal loop, for one closure and for copy-extend-run,
+    # and the rank of the sweep
+    kind, gens, extra = data
+    state = LieClosure(kind)
+    state.add_generators(gens)
+    state.run()
+    base = reference_adjoint(kind, [gens])
+    assert (state.spanning, state.rank) == base
+    assert state.rank == reference_sweep(kind, [gens])[2]
+    extended = state.copy()
+    extended.add_generators([extra])
+    extended.run()
+    assert (extended.spanning, extended.rank) == reference_adjoint(kind, [gens, [extra]])
+    assert extended.rank == reference_sweep(kind, [gens, [extra]])[2]
+    assert (state.spanning, state.rank) == base
 
 
 _RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=5)

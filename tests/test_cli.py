@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from structcon.algebra import BasisElement
+from structcon.algebra import BasisElement, su
 from structcon.cli import main, pair_to_document, parse_spec
 from structcon.errors import ParseError, ValidationError
 
 from conftest import load_pair, load_spec_text
+from helpers import fresh_rules
 
 
 def spec_path(name: str) -> str:
@@ -248,6 +249,23 @@ def test_closure_drift_flags_exclude_each_other(flags, capsys):
     assert all(f.split("=")[0] in err for f in flags if f.startswith("--"))
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closure_rows_past_the_int_digit_limit_exit_1(flags, tmp_path, capsys):
+    # the exponent 4300 is within the parse bound, but the row B12 + 10^4300·B34
+    # has a 4301-digit coefficient, which `repr` refuses to print
+    doc = {"algebra": "so", "n": 6,
+           "drift": [{"terms": [{"basis": "B", "i": 1, "j": 2, "coeff": "1"},
+                                {"basis": "B", "i": 3, "j": 4, "coeff": "1e4300"}]}],
+           "control": [{"basis": "B", "i": 5, "j": 6}]}
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["closure", str(spec), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("structcon: parse error: cannot print the closure rows: ")
+    assert err.count("\n") == 1
+
+
 def test_cmd_graph_dot(capsys):
     assert main(["graph", spec_path("so6_bridged_triangles"), "--which", "contr"]) == 0
     out = capsys.readouterr().out
@@ -273,14 +291,20 @@ def test_cmd_report(capsys):
     assert "Cross-check contradiction: no" in out
 
 
-def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys):
-    # su(200) has dimension 39999, but B12 and C12 close to a 3-dimensional su(2)
+def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys, monkeypatch):
+    # su(200) has dimension 39999, but B12 and C12 close to a 3-dimensional
+    # su(2); every bracket has B12 or C12 on the left, so only their rows of
+    # structure constants are built
+    tables = fresh_rules(monkeypatch)
     spec = tmp_path / "su200.json"
     spec.write_text(json.dumps(su_spec(200)))
     assert main(["report", str(spec), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"]["dimensions"] == [3] * 8
     assert payload["contradiction"] is False
+    rules = tables(su(200))
+    built = [rules.basis[k] for k, row in enumerate(rules.rows) if row is not None]
+    assert built == [BasisElement("B", 1, 2), BasisElement("C", 1, 2)]
 
 
 def test_algebra_too_large_to_tabulate_fails_fast(tmp_path, capsys):

@@ -43,7 +43,7 @@ from structcon.verdict import (
 )
 
 from conftest import load_pair
-from helpers import bracket_log, kind_candidates, random_pair
+from helpers import bracket_log, fresh_rules, kind_candidates, random_kind_pair, random_pair
 
 
 def elem(kind, *terms):
@@ -345,21 +345,50 @@ def test_oracle_relaxed_bound_pinned(drift, controls, dims):
     assert oracle(p, trials=8, seed=0).dimensions == dims == _reference_dimensions(p, 8, 0)
 
 
-@pytest.mark.parametrize("name,brackets,dim", [
-    ("so6_bridged_triangles", 190, 15),
-    ("gl4_pair_rings_loop", 297, 16),
-    ("gl4_pair_rings_no_loop", 236, 15),
-    ("gl4_unit_drift", 166, 16),
-    ("su5_hub_with_loops", 81, 24),
-    ("su6_two_triads", 332, 35),
-])
-def test_oracle_bracket_counts_pinned(name, brackets, dim, monkeypatch):
-    # gl4_pair_rings_no_loop never reaches full gl(4) (726 brackets without
-    # the relaxed bound); the other specs are full from the first trial, so
-    # the bound is never computed and their counts are those of plain closures
+# spec name -> (brackets evaluated by an 8-trial oracle at seed 0, dimension)
+_ORACLE_BRACKETS = {
+    "so6_bridged_triangles": (150, 15),
+    "gl4_pair_rings_loop": (185, 16),
+    "gl4_pair_rings_no_loop": (269, 15),
+    "gl4_unit_drift": (254, 16),
+    "su5_hub_with_loops": (71, 24),
+    "su6_two_triads": (285, 35),
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_BRACKETS)
+def test_oracle_bracket_counts_pinned(name, monkeypatch):
+    # gl4_pair_rings_no_loop never reaches full gl(4), so its later trials
+    # run under the relaxed bound; the other specs are full from the first
+    # trial, so the bound is never computed.  The counts are those of the
+    # generator-adjoint pair rule, which brackets each vector the control
+    # closure or a trial inserts with the generators only
+    brackets, dim = _ORACLE_BRACKETS[name]
     log = bracket_log(monkeypatch)
     assert oracle(load_pair(name), 8, 0).dimensions == (dim,) * 8
     assert len(log) == brackets
+    # no unordered pair twice: trials share only the closed control basis,
+    # whose pairs the base run has bracketed, and the log keeps every vector
+    # alive, so no id is reused
+    pairs = [frozenset((id(x), id(y))) for x, y, _ in log]
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_oracle_builds_rows_of_generator_supports_only(monkeypatch):
+    # each bracket puts its generator on the left, so every row built
+    # belongs to a control generator or to a drift base, whose supports hold
+    # every sampled drift's; below-full pairs run the relaxed closure too.
+    # Sizes as in the benchmark's random corpus: so and gl to 8, su to 7
+    tables = fresh_rules(monkeypatch)
+    rng = random.Random(15)
+    for k in range(400):
+        family = ("so", "gl", "su")[k % 3]
+        pair = random_kind_pair(rng, family, rng.randint(3, 7 if family == "su" else 8))
+        tables.cache_clear()
+        oracle(pair, trials=4, seed=k)
+        rows = {i for i, row in enumerate(tables(pair.kind).rows) if row is not None}
+        gens = control_generators(pair.control) + list(pair.drift.bases)
+        assert rows <= {i for g in gens for i in g.to_vector()}, (k, pair)
 
 
 def test_cross_validate_bundled_patterns(so6_pair, gl4_loop_pair, gl4_noloop_pair,
