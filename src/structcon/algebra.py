@@ -54,8 +54,8 @@ _ADMITTED = {Family.SO: ("B",), Family.GL: ("E",), Family.SU: ("B", "C", "D")}
 _KIND_CACHE_SIZE = 32
 
 # most basis elements a per-kind table (`_Rules`) may hold.  It builds every
-# one: su(600), 3.6e5 elements, takes 1.3 s and 130 MB (2-vCPU VM, Python
-# 3.11), and the cost grows with the element count up to su(1000)
+# one: a cold two-edge su(600) `report`, 3.6e5 elements, takes 1.8 s and
+# 116 MB peak RSS (2-vCPU VM, Python 3.11), growing with the element count
 _MAX_DIMENSION = 10**6
 
 # largest n an algebra may have.  The pattern graphs and their walks hold
@@ -396,14 +396,14 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
                     powers.setdefault((p, s), [0, 0, 0, 0])[(k + l) % 4] += sign
     m = {ps: (c[0] - c[2], c[1] - c[3]) for ps, c in powers.items()}
     if a.tag == "E":
-        return sorted((BasisElement("E", p, s), re) for (p, s), (re, _) in m.items() if re)
+        return [(BasisElement("E", p, s), re) for (p, s), (re, _) in m.items() if re]
     # brackets are traceless, so the i*E_kk parts fit the D_1k basis
     if sum(im for (p, s), (_, im) in m.items() if p == s):
         raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
     off = [(BasisElement(tag, p, s), c) for (p, s), (re, im) in m.items() if p < s
            for tag, c in (("B", re), ("C", im)) if c]
     diag = [(BasisElement("D", 1, p), -im) for (p, s), (_, im) in m.items() if p == s > 1 and im]
-    return sorted(off + diag)
+    return off + diag
 
 
 _Row = dict[int, tuple[tuple[int, int], ...]]
@@ -416,11 +416,10 @@ class _Rules:
     Row a maps each basis index b with [a, b] != 0 to that bracket as
     (index, coefficient) pairs, the coefficients as `int`.  Elements on
     disjoint node pairs commute, so a row scans only the elements sharing a
-    node with a, and is built the first time a bracket needs it.  `nodes[a]`
-    is the bit mask of a's nodes (D_1k counts node 1 and node k).
+    node with a, and is built the first time a bracket needs it.
     """
 
-    __slots__ = ("basis", "index", "by_node", "nodes", "rows")
+    __slots__ = ("basis", "index", "by_node", "rows")
 
     def __init__(self, kind: AlgebraKind):
         if kind.dimension > _MAX_DIMENSION:
@@ -433,15 +432,14 @@ class _Rules:
             self.by_node[b.i].append(k)
             if b.j != b.i:
                 self.by_node[b.j].append(k)
-        self.nodes = [(1 << b.i) | (1 << b.j) for b in self.basis]
-        self.rows: list[_Row | None] = [None] * len(self.basis)
+        self.rows: dict[int, _Row] = {}
 
     def row(self, ia: int) -> _Row:
-        row = self.rows[ia]
+        row = self.rows.get(ia)
         if row is None:
             a = self.basis[ia]
             row = {}
-            for ib in sorted({*self.by_node[a.i], *self.by_node[a.j]}):
+            for ib in {*self.by_node[a.i], *self.by_node[a.j]}:
                 b = self.basis[ib]
                 entries = _pair_bracket(a, b)
                 if any(c.denominator != 1 for _, c in entries):
@@ -628,10 +626,11 @@ class LieClosure:
 
     Each unordered pair is bracketed at most once: [y, x] = -[x, y] lies in
     a span that only grows.  Pairs on disjoint node sets are skipped, since
-    such elements commute.  The state can be copied cheaply and extended with
-    more generators, which the sampling oracle uses to share the control-set
-    closure across trials: the added drift's turn then meets that whole
-    basis.
+    such elements commute; a vector's node mask is built from the basis
+    elements of its support (D_1k counts node 1 and node k).  The state can
+    be copied cheaply and extended with more generators, which the sampling
+    oracle uses to share the control-set closure across trials: the added
+    drift's turn then meets that whole basis.
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
@@ -641,7 +640,6 @@ class LieClosure:
 
     def __init__(self, kind: AlgebraKind, *, _sweep: bool = False):
         self.kind = kind
-        self.dim = kind.dimension
         self.rules = _rules(kind)
         self.ech = _Echelon()
         self.sweep = _sweep
@@ -660,7 +658,6 @@ class LieClosure:
     def copy(self) -> "LieClosure":
         new = object.__new__(LieClosure)
         new.kind = self.kind
-        new.dim = self.dim
         new.rules = self.rules
         new.ech = self.ech.copy()
         new.sweep = self.sweep
@@ -677,10 +674,11 @@ class LieClosure:
         return self.ech.rank
 
     def _push(self, vec: dict[int, int], generator: bool) -> None:
-        nodes = self.rules.nodes
+        basis = self.rules.basis
         mask = 0
         for idx in vec:
-            mask |= nodes[idx]
+            b = basis[idx]
+            mask |= (1 << b.i) | (1 << b.j)
         if generator:
             self.generators.append(len(self.spanning))
         self.spanning.append(vec)
@@ -699,7 +697,7 @@ class LieClosure:
         """Sweep until the span stabilizes, fills the algebra or reaches
         `bound` (default: the algebra's dimension), which the caller
         vouches is the dimension of a Lie algebra holding every generator."""
-        bound = self.dim if bound is None else bound
+        bound = self.kind.dimension if bound is None else bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
         is_generator, rules, sweep = self.is_generator, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
