@@ -462,12 +462,15 @@ def _bracket_vec(x: dict[int, int | Fraction], y: dict[int, int | Fraction],
     Each x coordinate meets y on the shared support of its rule row and y;
     the interpreter builds that key-view intersection by iterating the
     smaller side.  The structure constants are `int`s, so `int` vectors
-    give an `int` result and `Fraction` vectors a `Fraction` one.
+    give an `int` result and `Fraction` vectors a `Fraction` one.  Rows are
+    read from the table, and built only the first time one is missing.
     """
     out: dict[int, int | Fraction] = {}
-    get = out.get
+    get, rows = out.get, rules.rows
     for ia, ca in x.items():
-        row = rules.row(ia)
+        row = rows.get(ia)
+        if row is None:
+            row = rules.row(ia)
         for ib in row.keys() & y.keys():
             c = ca * y[ib]
             for idx, coeff in row[ib]:
@@ -689,9 +692,14 @@ class LieClosure:
         for e in elements:
             if e.kind != self.kind:
                 raise KindMismatch(f"generator of {e.kind} in a {self.kind} closure")
-            vec = _integral(e.to_vector())
-            if self.ech.insert(vec):
-                self._push(vec, True)
+            self.add_ray(_integral(e.to_vector()))
+
+    def add_ray(self, vec: dict[int, int]) -> None:
+        """Add a generator given as its primitive integer vector (`_integral`
+        of its coordinates); one in the span already, zero included, adds
+        nothing."""
+        if self.ech.insert(vec):
+            self._push(vec, True)
 
     def run(self, bound: int | None = None) -> None:
         """Sweep until the span stabilizes, fills the algebra or reaches

@@ -87,15 +87,21 @@ def drift_with(pattern: DriftPattern, coeffs: Sequence[Fraction]) -> AlgebraElem
     """The rigid drift c_1·A_1 + ... + c_d·A_d: one nonzero coefficient per base.
 
     Cancellation may zero the result; callers that care check `is_zero`.
+    The sum is taken in one pass over the bases' terms and its zeros are
+    dropped at the end, which gives the canonical element of the
+    base-by-base sum.
     """
     if len(coeffs) != len(pattern.bases):
         raise ValueError(f"{len(coeffs)} coefficients for {len(pattern.bases)} drift bases")
     if not all(coeffs):
         raise ValueError("drift coefficients must be nonzero (rigid pattern)")
-    out = AlgebraElement.zero(pattern.kind)
+    terms: dict[BasisElement, Fraction] = {}
+    get = terms.get
     for base, c in zip(pattern.bases, coeffs):
-        out = out + base.scale(c)
-    return out
+        for b, v in base._terms.items():
+            old = get(b)
+            terms[b] = v * c if old is None else old + v * c
+    return AlgebraElement(pattern.kind, {b: v for b, v in terms.items() if v})
 
 
 def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, graphs
-from .algebra import AlgebraKind, Family, LieClosure
+from .algebra import AlgebraKind, Family, LieClosure, _integral
 from .errors import KindMismatch
 from .patterns import (
     DEFAULT_POOL,
@@ -242,6 +242,13 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     trial: if it is full, R is the algebra's dimension and nothing more is
     computed; otherwise its closed state is extended with the drift bases
     and run on.
+
+    A trial's closure depends only on its drift's ray, the primitive integer
+    vector of the drift (the same span generates the same subalgebra), so
+    each distinct ray is closed once per call and a trial whose ray an
+    earlier trial closed reuses that dimension.  Every trial still draws its
+    own sample; on a one-base drift every sample has the same ray, and
+    `trials=10000` costs one closure.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -253,13 +260,20 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
 
     target = kind.dimension
     relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
+    closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
+        ray = _integral(drift.to_vector())
+        key = frozenset(ray.items())
+        if key in closed:
+            dims.append(closed[key])
+            continue
         state = base.copy()
-        state.add_generators([drift])
+        state.add_ray(ray)
         state.run(relaxed)
         dims.append(state.rank)
+        closed[key] = state.rank
         if relaxed is None:
             if state.rank < target:
                 state.add_generators(pair.drift.bases)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structcon.algebra import AlgebraElement, BasisElement, gl, so, su
 from structcon.errors import EmptyPool, KindMismatch, ValidationError
@@ -16,7 +18,7 @@ from structcon.patterns import (
     sample_drift,
 )
 
-from helpers import DenseSpan, elem_matrix, flatten
+from helpers import DenseSpan, elem_matrix, flatten, kind_candidates
 
 
 def elem(kind, *terms):
@@ -109,6 +111,40 @@ def test_drift_with_is_the_rigid_sum_sample_drift_draws():
         drift_with(p, coeffs[:2])
     with pytest.raises(ValueError, match="nonzero"):
         drift_with(p, [Fraction(1), Fraction(0), Fraction(1)])
+
+
+_COEFFS = [Fraction(k) for k in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 4)]
+
+
+@st.composite
+def _drifts(draw):
+    """A drift pattern of 1-4 bases over a support of at most three basis
+    elements, so that terms overlap and often cancel, and coefficients for
+    it; D_ij with i > 1 is rewritten on D_1k."""
+    kind = draw(st.sampled_from([so(4), gl(3), su(3), su(4)]))
+    support = draw(st.lists(st.sampled_from(kind_candidates(kind)), min_size=1, max_size=3))
+    terms = st.lists(st.tuples(st.sampled_from(support), st.sampled_from(_COEFFS)),
+                     min_size=1, max_size=3)
+    base = terms.map(lambda t: AlgebraElement.build(kind, t)).filter(lambda e: not e.is_zero)
+    bases = draw(st.lists(base, min_size=1, max_size=4))
+    coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=len(bases), max_size=len(bases)))
+    return DriftPattern(kind, tuple(bases)), coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(drift=_drifts())
+# D23 = D13 - D12, so these coefficients cancel the sum to zero
+@example(drift=(DriftPattern(su(3), (elem(su(3), ("D", 2, 3, 1)),
+                                     elem(su(3), ("D", 1, 3, 1), ("D", 1, 2, -1)))),
+                [Fraction(1), Fraction(-1)]))
+def test_drift_with_equals_the_base_by_base_fold(drift):
+    pattern, coeffs = drift
+    fold = AlgebraElement.zero(pattern.kind)
+    for base, c in zip(pattern.bases, coeffs):
+        fold = fold + base.scale(c)
+    got = drift_with(pattern, coeffs)
+    assert got == fold and got.is_zero == fold.is_zero
+    assert all(isinstance(c, Fraction) and c for _, c in got.items())
 
 
 def test_control_generators():

@@ -308,10 +308,11 @@ def _pairs(draw):
     return ZeroPatternPair(DriftPattern(kind, tuple(bases)), ControlPattern(kind, tuple(controls)))
 
 
-def _reference_dimensions(pair, trials, seed):
-    """Each trial closed on its own: no shared control closure, no bound."""
+def _reference_dimensions(pair, trials, seed, pool=DEFAULT_POOL):
+    """Each trial closed on its own: no shared control closure, no bound,
+    no dimension reused from an earlier trial."""
     controls = control_generators(pair.control)
-    return tuple(lie_closure([sample_drift(pair.drift, DEFAULT_POOL, seed * 1_000_003 + t)]
+    return tuple(lie_closure([sample_drift(pair.drift, pool, seed * 1_000_003 + t)]
                              + controls)[1] for t in range(trials))
 
 
@@ -319,6 +320,48 @@ def _reference_dimensions(pair, trials, seed):
 @given(pair=_pairs(), seed=st.integers(0, 50))
 def test_oracle_matches_independent_trials(pair, seed):
     assert oracle(pair, trials=4, seed=seed).dimensions == _reference_dimensions(pair, 4, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 50),
+       pool=st.sampled_from([(1, 2), (-1, 1), (Fraction(1, 2), -3)]))
+def test_oracle_with_repeated_rays_matches_independent_trials(pair, seed, pool):
+    # two pool values give at most 2^m rays to 1-3 drift bases, so most of
+    # the 8 trials draw a ray an earlier trial of the call has closed
+    got = oracle(pair, trials=8, seed=seed, pool=pool).dimensions
+    assert got == _reference_dimensions(pair, 8, seed, pool)
+
+
+@pytest.mark.parametrize("drift,controls", [
+    # below full: the first trial also grows the relaxed closure
+    ((so(5), [[("B", 1, 2, 1), ("B", 2, 3, -2)]]), [("B", 3, 4)]),
+    # full su(4) from the first trial
+    ((su(4), [[("B", 1, 2, 1), ("C", 2, 3, 3), ("D", 1, 4, 1)]]), [("B", 3, 4), ("C", 1, 2)]),
+], ids=["so5-below-full", "su4-full"])
+def test_oracle_closes_a_one_base_drift_once(drift, controls, monkeypatch):
+    # every sample c·A of a one-base drift has A's ray, so 8 trials cost the
+    # brackets of one, although the samples themselves differ
+    p = pattern(*drift, controls)
+    assert len({sample_drift(p.drift, DEFAULT_POOL, t) for t in range(8)}) > 1
+    log = bracket_log(monkeypatch)
+    one = oracle(p, trials=1, seed=0)
+    once = len(log)
+    many = oracle(p, trials=8, seed=0)
+    assert len(log) == 2 * once
+    assert many.dimensions == one.dimensions * 8 == _reference_dimensions(p, 8, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1], ids=["later-trials-zero", "first-trial-zero"])
+def test_oracle_drift_cancelling_to_zero(seed):
+    # bases B12 and B12 with the pool {-1, 1}: a sample is zero whenever its
+    # two coefficients differ, and its closure is that of the controls alone
+    p = pattern(su(3), [[("B", 1, 2, 1)], [("B", 1, 2, 1)]], [("C", 2, 3)])
+    pool = (Fraction(-1), Fraction(1))
+    zero = [t for t in range(8) if sample_drift(p.drift, pool, seed * 1_000_003 + t).is_zero]
+    assert len(zero) >= 2 and (0 in zero) == (seed == 1)
+    rep = oracle(p, trials=8, seed=seed, pool=pool)
+    assert rep.dimensions == _reference_dimensions(p, 8, seed, pool)
+    assert [t for t, d in enumerate(rep.dimensions) if d == 1] == zero
 
 
 @settings(max_examples=60, deadline=None)
