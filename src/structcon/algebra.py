@@ -29,7 +29,7 @@ graph types live in `graphs`, checkers in `verdict`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -64,18 +64,35 @@ _MAX_DIMENSION = 10**6
 _MAX_N = 10**5
 
 
-@dataclass(frozen=True)
-class AlgebraKind:
+def record(typename: str, fields: str, **kw):
+    """The base of an immutable value record: a `namedtuple` whose `==` and
+    `!=` accept only records of the same type, never a plain tuple or another
+    record with equal fields.  Its hash is the tuple's.  A record subclasses
+    it with `__slots__ = ()` and checks its fields in `__new__`, which
+    `_replace` and `_make` bypass."""
+    base = namedtuple(typename, fields, **kw)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    base.__eq__, base.__ne__ = __eq__, __ne__
+    return base
+
+
+class AlgebraKind(record("AlgebraKind", "family n")):
     """One of the three supported algebras at a fixed size n."""
 
-    family: Family
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"algebra size must be at least 2, got {self.n}")
-        if self.n > _MAX_N:
-            raise ValueError(f"algebra size must be at most {_MAX_N}, got {self.n}")
+    def __new__(cls, family: Family, n: int) -> "AlgebraKind":
+        if n < 2:
+            raise ValueError(f"algebra size must be at least 2, got {n}")
+        if n > _MAX_N:
+            raise ValueError(f"algebra size must be at most {_MAX_N}, got {n}")
+        return super().__new__(cls, family, n)
 
     @property
     def dimension(self) -> int:
@@ -100,21 +117,20 @@ def su(n: int) -> AlgebraKind:
     return AlgebraKind(Family.SU, n)
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
-    """A single canonical generator: B_ij, C_ij, D_ij or E_ij (1-based)."""
+class BasisElement(record("BasisElement", "tag i j")):
+    """A single canonical generator: B_ij, C_ij, D_ij or E_ij (1-based).
+    Elements order as their (tag, i, j) tuples."""
 
-    tag: str
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("B", "C", "D", "E"):
-            raise ValueError(f"unknown basis tag {self.tag!r}")
-        if self.i < 1 or self.j < 1:
+    def __new__(cls, tag: str, i: int, j: int) -> "BasisElement":
+        if tag not in ("B", "C", "D", "E"):
+            raise ValueError(f"unknown basis tag {tag!r}")
+        if i < 1 or j < 1:
             raise ValueError("node indices are 1-based")
-        if self.tag != "E" and not self.i < self.j:
-            raise ValueError(f"{self.tag} generators require i < j, got ({self.i}, {self.j})")
+        if tag != "E" and not i < j:
+            raise ValueError(f"{tag} generators require i < j, got ({i}, {j})")
+        return super().__new__(cls, tag, i, j)
 
     def __str__(self) -> str:
         if self.i < 10 and self.j < 10:
@@ -267,12 +283,10 @@ class AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cq:
+class Cq(record("Cq", "re im", defaults=(_Q0, _Q0))):
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction = _Q0
-    im: Fraction = _Q0
+    __slots__ = ()
 
     def __add__(self, other: "Cq") -> "Cq":
         return Cq(self.re + other.re, self.im + other.im)
@@ -582,16 +596,32 @@ class _Echelon:
                 for p, row in sorted(self.rows.items())]
 
 
-@dataclass(frozen=True)
 class SpanBasis:
     """Row-reduced basis of a subspace; rank is exact by construction.
 
     `ech` is the echelon of the rows, a copy of the closure's own, so
-    membership tests reduce against it instead of rebuilding one."""
+    membership tests reduce against it instead of rebuilding one.  Equality,
+    hash and repr read `kind` and `rows` only, and no field can be assigned."""
 
-    kind: AlgebraKind
-    rows: tuple[AlgebraElement, ...]
-    ech: _Echelon = field(compare=False, repr=False)
+    __slots__ = ("kind", "rows", "ech")
+
+    def __init__(self, kind: AlgebraKind, rows: tuple[AlgebraElement, ...], ech: _Echelon) -> None:
+        for name, value in (("kind", kind), ("rows", rows), ("ech", ech)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SpanBasis:
+            return NotImplemented
+        return (self.kind, self.rows) == (other.kind, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.rows))
+
+    def __repr__(self) -> str:
+        return f"SpanBasis(kind={self.kind!r}, rows={self.rows!r})"
 
     @property
     def rank(self) -> int:

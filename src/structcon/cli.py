@@ -26,7 +26,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -149,9 +148,19 @@ def pair_to_document(pair: ZeroPatternPair) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _print_json(payload: dict) -> None:
-    # a record's `asdict` holds enums (the verdict); they print as their values
-    print(json.dumps(payload, indent=2, sort_keys=True, default=lambda member: member.value))
+def _plain(value: Any) -> Any:
+    # records become dicts of their fields, through nested records and tuples
+    if hasattr(value, "_asdict"):
+        return {name: _plain(v) for name, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _print_json(payload: Any) -> None:
+    # a record or a dict; enums (the verdict) print as their values
+    print(json.dumps(_plain(payload), indent=2, sort_keys=True,
+                     default=lambda member: member.value))
 
 
 def _print_report(report: verdict_mod.Report, kind: AlgebraKind) -> None:
@@ -237,7 +246,7 @@ def _drift_for_closure(pair: ZeroPatternPair, args: argparse.Namespace) -> Algeb
 
 def _show_report(args: argparse.Namespace, report: verdict_mod.Report, kind: AlgebraKind) -> int:
     if args.json:
-        _print_json(asdict(report))
+        _print_json(report)
     else:
         _print_report(report, kind)
     return 3 if report.contradiction else 0
@@ -252,7 +261,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     pair = _read_spec(args.spec)
     orc = verdict_mod.oracle(pair, trials=args.trials, seed=args.seed, pool=args.pool)
     if args.json:
-        _print_json(asdict(orc))
+        _print_json(orc)
     else:
         _print_oracle(orc, pair.kind)
     return 0

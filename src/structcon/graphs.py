@@ -11,12 +11,11 @@ so(n), directed over gl(n), edge-colored over su(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import AlgebraElement, AlgebraKind, Family
+from .algebra import AlgebraElement, AlgebraKind, Family, record
 from .errors import SizeMismatch
 from .patterns import ControlPattern, DriftPattern, control_generators
 
@@ -27,48 +26,48 @@ class Color(Enum):
     GREEN = "green"
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
-    n: int
-    edges: frozenset[tuple[int, int]]  # stored with i < j
+class UndirectedGraph(record("UndirectedGraph", "n edges")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge ({i}, {j}) for {self.n} nodes")
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> "UndirectedGraph":
+        # edges are stored with i < j
+        for i, j in edges:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad edge ({i}, {j}) for {n} nodes")
+        return super().__new__(cls, n, edges)
 
     @staticmethod
     def of(n: int, pairs: Iterable[tuple[int, int]]) -> "UndirectedGraph":
         return UndirectedGraph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
-@dataclass(frozen=True)
-class Digraph:
-    n: int
-    arcs: frozenset[tuple[int, int]]  # self-loops allowed
+class Digraph(record("Digraph", "n arcs")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for i, j in self.arcs:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"bad arc ({i}, {j}) for {self.n} nodes")
+    def __new__(cls, n: int, arcs: frozenset[tuple[int, int]]) -> "Digraph":
+        # self-loops allowed
+        for i, j in arcs:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"bad arc ({i}, {j}) for {n} nodes")
+        return super().__new__(cls, n, arcs)
 
     @staticmethod
     def of(n: int, pairs: Iterable[tuple[int, int]]) -> "Digraph":
         return Digraph(n, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class ColoredMultigraph:
-    n: int
-    edges: frozenset[tuple[int, int, Color]]  # blue/red with i < j, green loops i == j
+class ColoredMultigraph(record("ColoredMultigraph", "n edges")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for i, j, color in self.edges:
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int, Color]]) -> "ColoredMultigraph":
+        # blue/red edges with i < j, green loops i == j
+        for i, j, color in edges:
             if color is Color.GREEN:
-                if i != j or not 1 <= i <= self.n:
+                if i != j or not 1 <= i <= n:
                     raise ValueError("green edges are exactly self-loops")
-            elif not (1 <= i < j <= self.n):
-                raise ValueError(f"bad {color.value} edge ({i}, {j}) for {self.n} nodes")
+            elif not (1 <= i < j <= n):
+                raise ValueError(f"bad {color.value} edge ({i}, {j}) for {n} nodes")
+        return super().__new__(cls, n, edges)
 
     @staticmethod
     def of(n: int, triples: Iterable[tuple[int, int, Color]]) -> "ColoredMultigraph":

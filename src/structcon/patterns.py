@@ -8,55 +8,57 @@ whose coefficients are unrestricted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, AlgebraKind, BasisElement, Family, validate_basis_element
+from .algebra import (
+    AlgebraElement,
+    AlgebraKind,
+    BasisElement,
+    Family,
+    record,
+    validate_basis_element,
+)
 from .errors import EmptyPool, KindMismatch, ValidationError
 
 
-@dataclass(frozen=True)
-class DriftPattern:
+class DriftPattern(record("DriftPattern", "kind bases")):
     """Base elements A_1..A_d of the rigid drift pattern."""
 
-    kind: AlgebraKind
-    bases: tuple[AlgebraElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.bases:
+    def __new__(cls, kind: AlgebraKind, bases: tuple[AlgebraElement, ...]) -> "DriftPattern":
+        if not bases:
             raise ValidationError("a drift pattern needs at least one base element")
-        for s, a in enumerate(self.bases):
-            if a.kind != self.kind:
-                raise KindMismatch(f"drift base of {a.kind} in a {self.kind} pattern")
+        for s, a in enumerate(bases):
+            if a.kind != kind:
+                raise KindMismatch(f"drift base of {a.kind} in a {kind} pattern")
             if a.is_zero:
                 raise ValidationError(f"drift[{s}]: base element is zero")
+        return super().__new__(cls, kind, bases)
 
 
-@dataclass(frozen=True)
-class ControlPattern:
+class ControlPattern(record("ControlPattern", "kind bases")):
     """Basis generators available to the controlled terms (free pattern)."""
 
-    kind: AlgebraKind
-    bases: tuple[BasisElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.bases:
+    def __new__(cls, kind: AlgebraKind, bases: tuple[BasisElement, ...]) -> "ControlPattern":
+        if not bases:
             raise ValidationError("a control pattern needs at least one base element")
-        for b in self.bases:
-            validate_basis_element(self.kind, b)
+        for b in bases:
+            validate_basis_element(kind, b)
         # deduplicate and order for deterministic downstream iteration
-        object.__setattr__(self, "bases", tuple(sorted(set(self.bases))))
+        return super().__new__(cls, kind, tuple(sorted(set(bases))))
 
 
-@dataclass(frozen=True)
-class ZeroPatternPair:
-    drift: DriftPattern
-    control: ControlPattern
+class ZeroPatternPair(record("ZeroPatternPair", "drift control")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.drift.kind != self.control.kind:
+    def __new__(cls, drift: DriftPattern, control: ControlPattern) -> "ZeroPatternPair":
+        if drift.kind != control.kind:
             raise KindMismatch("drift and control patterns belong to different algebras")
+        return super().__new__(cls, drift, control)
 
     @property
     def kind(self) -> AlgebraKind:

@@ -10,13 +10,12 @@ contradiction flag, which is a bug signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, graphs
-from .algebra import AlgebraKind, Family, LieClosure, _integral
+from .algebra import AlgebraKind, Family, LieClosure, _integral, record
 from .errors import KindMismatch
 from .patterns import (
     DEFAULT_POOL,
@@ -43,29 +42,26 @@ class GeneratedGl(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class ConditionEval:
-    name: str
-    holds: bool
-    citation: str
+class ConditionEval(record("ConditionEval", "name holds citation")):
+    """One graphical condition: its name, whether it holds, and the result
+    of the paper that states it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    trials: int
-    dimensions: tuple[int, ...]
-    target: int
-    achieved_full: bool
-    seed: int
+class OracleReport(record("OracleReport", "trials dimensions target achieved_full seed")):
+    """The oracle's trial count, the closure dimension of each trial, the
+    full dimension, whether a trial reached it, and the seed."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Report:
-    verdict: Verdict
-    conditions: tuple[ConditionEval, ...]
-    oracle: OracleReport | None
-    contradiction: bool
-    decided_by: str
+class Report(record("Report", "verdict conditions oracle contradiction decided_by")):
+    """A `Verdict`, the `ConditionEval`s behind it, the `OracleReport` of a
+    cross-check (None without one), the contradiction flag, and the name of
+    the deciding condition ("" if none)."""
+
+    __slots__ = ()
 
 
 def _require(kind: AlgebraKind, family: Family, what: str) -> None:
@@ -297,4 +293,4 @@ def cross_validate(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     # before the checker walks the pattern graphs of all n nodes
     orc = oracle(pair, trials=trials, seed=seed, pool=pool)
     report = check(pair)
-    return replace(report, oracle=orc, contradiction=_contradicts(report.verdict, orc))
+    return report._replace(oracle=orc, contradiction=_contradicts(report.verdict, orc))

@@ -213,6 +213,25 @@ def test_bad_pool_is_a_usage_error(pool):
     assert proc.stdout == ""
 
 
+def test_cli_import_loads_no_dataclasses():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, which a
+    # cold process pays for.  The stdlib modules structcon itself imports are
+    # loaded first, so whatever they load on some Python version is not
+    # counted; -S keeps `site` and its .pth hooks out of the baseline
+    baseline = ("argparse", "json", "fractions", "random", "re", "pathlib",
+                "collections", "enum", "functools", "math", "typing")
+    code = (f"import sys\nimport {', '.join(baseline)}\n"
+            "before = set(sys.modules)\n"
+            "import structcon.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cmd_closure_with_explicit_coefficients(capsys):
     assert main(["closure", spec_path("so6_bridged_triangles"), "--coeffs", "1,3,1"]) == 0
     out = capsys.readouterr().out
