@@ -86,6 +86,8 @@ class AlgebraKind(record("AlgebraKind", "family n")):
     """One of the three supported algebras at a fixed size n."""
 
     __slots__ = ()
+    family: Family
+    n: int
 
     def __new__(cls, family: Family, n: int) -> "AlgebraKind":
         if n < 2:
@@ -122,6 +124,9 @@ class BasisElement(record("BasisElement", "tag i j")):
     Elements order as their (tag, i, j) tuples."""
 
     __slots__ = ()
+    tag: str
+    i: int
+    j: int
 
     def __new__(cls, tag: str, i: int, j: int) -> "BasisElement":
         if tag not in ("B", "C", "D", "E"):
@@ -287,6 +292,8 @@ class Cq(record("Cq", "re im", defaults=(_Q0, _Q0))):
     """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ()
+    re: Fraction
+    im: Fraction
 
     def __add__(self, other: "Cq") -> "Cq":
         return Cq(self.re + other.re, self.im + other.im)
@@ -604,6 +611,9 @@ class SpanBasis:
     hash and repr read `kind` and `rows` only, and no field can be assigned."""
 
     __slots__ = ("kind", "rows", "ech")
+    kind: AlgebraKind
+    rows: tuple[AlgebraElement, ...]
+    ech: _Echelon
 
     def __init__(self, kind: AlgebraKind, rows: tuple[AlgebraElement, ...], ech: _Echelon) -> None:
         for name, value in (("kind", kind), ("rows", rows), ("ech", ech)):

@@ -28,9 +28,10 @@ class Color(Enum):
 
 class UndirectedGraph(record("UndirectedGraph", "n edges")):
     __slots__ = ()
+    n: int
+    edges: frozenset[tuple[int, int]]  # stored with i < j
 
     def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> "UndirectedGraph":
-        # edges are stored with i < j
         for i, j in edges:
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge ({i}, {j}) for {n} nodes")
@@ -43,9 +44,10 @@ class UndirectedGraph(record("UndirectedGraph", "n edges")):
 
 class Digraph(record("Digraph", "n arcs")):
     __slots__ = ()
+    n: int
+    arcs: frozenset[tuple[int, int]]  # self-loops allowed
 
     def __new__(cls, n: int, arcs: frozenset[tuple[int, int]]) -> "Digraph":
-        # self-loops allowed
         for i, j in arcs:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"bad arc ({i}, {j}) for {n} nodes")
@@ -58,9 +60,10 @@ class Digraph(record("Digraph", "n arcs")):
 
 class ColoredMultigraph(record("ColoredMultigraph", "n edges")):
     __slots__ = ()
+    n: int
+    edges: frozenset[tuple[int, int, Color]]  # blue/red with i < j, green loops i == j
 
     def __new__(cls, n: int, edges: frozenset[tuple[int, int, Color]]) -> "ColoredMultigraph":
-        # blue/red edges with i < j, green loops i == j
         for i, j, color in edges:
             if color is Color.GREEN:
                 if i != j or not 1 <= i <= n:

@@ -26,6 +26,8 @@ class DriftPattern(record("DriftPattern", "kind bases")):
     """Base elements A_1..A_d of the rigid drift pattern."""
 
     __slots__ = ()
+    kind: AlgebraKind
+    bases: tuple[AlgebraElement, ...]
 
     def __new__(cls, kind: AlgebraKind, bases: tuple[AlgebraElement, ...]) -> "DriftPattern":
         if not bases:
@@ -42,6 +44,8 @@ class ControlPattern(record("ControlPattern", "kind bases")):
     """Basis generators available to the controlled terms (free pattern)."""
 
     __slots__ = ()
+    kind: AlgebraKind
+    bases: tuple[BasisElement, ...]
 
     def __new__(cls, kind: AlgebraKind, bases: tuple[BasisElement, ...]) -> "ControlPattern":
         if not bases:
@@ -54,6 +58,8 @@ class ControlPattern(record("ControlPattern", "kind bases")):
 
 class ZeroPatternPair(record("ZeroPatternPair", "drift control")):
     __slots__ = ()
+    drift: DriftPattern
+    control: ControlPattern
 
     def __new__(cls, drift: DriftPattern, control: ControlPattern) -> "ZeroPatternPair":
         if drift.kind != control.kind:

@@ -43,25 +43,28 @@ class GeneratedGl(Enum):
 
 
 class ConditionEval(record("ConditionEval", "name holds citation")):
-    """One graphical condition: its name, whether it holds, and the result
-    of the paper that states it."""
-
     __slots__ = ()
+    name: str
+    holds: bool
+    citation: str
 
 
 class OracleReport(record("OracleReport", "trials dimensions target achieved_full seed")):
-    """The oracle's trial count, the closure dimension of each trial, the
-    full dimension, whether a trial reached it, and the seed."""
-
     __slots__ = ()
+    trials: int
+    dimensions: tuple[int, ...]
+    target: int
+    achieved_full: bool
+    seed: int
 
 
 class Report(record("Report", "verdict conditions oracle contradiction decided_by")):
-    """A `Verdict`, the `ConditionEval`s behind it, the `OracleReport` of a
-    cross-check (None without one), the contradiction flag, and the name of
-    the deciding condition ("" if none)."""
-
     __slots__ = ()
+    verdict: Verdict
+    conditions: tuple[ConditionEval, ...]
+    oracle: OracleReport | None
+    contradiction: bool
+    decided_by: str
 
 
 def _require(kind: AlgebraKind, family: Family, what: str) -> None:

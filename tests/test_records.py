@@ -105,15 +105,6 @@ def test_span_basis_equality_ignores_its_echelon():
     other = SpanBasis(basis.kind, basis.rows, _Echelon())
     assert other == basis and hash(other) == hash(basis)
     assert repr(other) == repr(basis) and "ech" not in repr(basis)
-    assert other.contains(basis.rows[0]) is False  # the echelon given is used
+    # membership reduces against the echelon it was given
+    assert basis.contains(basis.rows[0]) and not other.contains(basis.rows[0])
 
-
-def test_records_are_built_through_their_checks():
-    with pytest.raises(ValueError, match="at least 2"):
-        AlgebraKind(Family.SO, 1)
-    with pytest.raises(ValueError, match="bad edge"):
-        UndirectedGraph(3, frozenset({(2, 1)}))
-    # sorted and deduplicated on the way in, keyword arguments included
-    pattern = ControlPattern(kind=so(3), bases=(BasisElement("B", 2, 3), BasisElement("B", 1, 2),
-                                                BasisElement("B", 2, 3)))
-    assert pattern.bases == (BasisElement("B", 1, 2), BasisElement("B", 2, 3))
