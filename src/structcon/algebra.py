@@ -675,6 +675,15 @@ class LieClosure:
     oracle uses to share the control-set closure across trials: the added
     drift's turn then meets that whole basis.
 
+    Each pushed vector records its parent pair: None for a generator, and
+    (left, right) for the bracket [spanning[left], spanning[right]] it is the
+    primitive of, in the orientation `run` evaluated it; `copy` copies the
+    records.  So a state that `run` extended by one ray can serve the
+    sampling oracle as a template once its rank is a known bound: `replay`
+    evaluates its bracket words on another ray's vectors, and if every word
+    raises the rank, that ray's closure has the bound's rank too, which is
+    exact for the same reason a bound is.
+
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
     sweep count `lie_closure` reports as `steps`.  It goes once `steps` is
@@ -693,6 +702,9 @@ class LieClosure:
         self.masks: list[int] = []
         self.is_generator: list[bool] = []
         self.generators: list[int] = []
+        # parents[k]: None for a generator, else the positions (left, right)
+        # of the bracket whose primitive is spanning[k]
+        self.parents: list[tuple[int, int] | None] = []
         # reach[k]: len(spanning) when vector k's turn started; the vectors
         # past len(reach) have had no turn yet and form the frontier
         self.reach: list[int] = []
@@ -708,6 +720,7 @@ class LieClosure:
         new.masks = list(self.masks)
         new.is_generator = list(self.is_generator)
         new.generators = list(self.generators)
+        new.parents = list(self.parents)
         new.reach = list(self.reach)
         new.steps = self.steps
         return new
@@ -716,7 +729,8 @@ class LieClosure:
     def rank(self) -> int:
         return self.ech.rank
 
-    def _push(self, vec: dict[int, int], generator: bool) -> None:
+    def _push(self, vec: dict[int, int], generator: bool,
+              parents: tuple[int, int] | None = None) -> None:
         basis = self.rules.basis
         mask = 0
         for idx in vec:
@@ -727,6 +741,7 @@ class LieClosure:
         self.spanning.append(vec)
         self.masks.append(mask)
         self.is_generator.append(generator)
+        self.parents.append(parents)
 
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
         for e in elements:
@@ -766,13 +781,39 @@ class LieClosure:
                         else:
                             z = _bracket_vec(spanning[iy], x, rules)
                         if z and ech.insert(z):
-                            self._push(_primitive(z), sweep)
+                            self._push(_primitive(z), sweep, (ix, iy) if x_gen else (iy, ix))
                             if ech.rank == bound:
                                 break
                 if ech.rank == bound:
                     break
             if len(spanning) > end:
                 self.steps += 1
+
+    def replay(self, template: "LieClosure", start: int, ray: dict[int, int]) -> bool:
+        """Add `ray` as a generator and evaluate the bracket words that
+        `template` recorded past position `start`, in order and with their
+        recorded orientation, on this state's vectors.  `template` must be
+        this state extended by one ray and `run`: its first `start` vectors
+        are this state's.
+
+        Returns True when every word raises the rank, so the rank is then
+        the template's; False at the first zero or dependent word, leaving a
+        partial state to be discarded.  Each word is a bracket of this
+        state's vectors, so a True result spans a subspace of L(S ∪ {ray}):
+        when the template's rank is the dimension of a Lie algebra known to
+        contain that closure, the closure is that algebra.
+        """
+        self.add_ray(ray)
+        spanning, rules, ech = self.spanning, self.rules, self.ech
+        # the ray joins the span here iff it joined the template's
+        if len(spanning) != min(start + 1, len(template.spanning)):
+            return False
+        for left, right in template.parents[len(spanning):]:
+            z = _bracket_vec(spanning[left], spanning[right], rules)
+            if not (z and ech.insert(z)):
+                return False
+            self._push(_primitive(z), False, (left, right))
+        return True
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())

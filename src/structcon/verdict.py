@@ -248,6 +248,17 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     earlier trial closed reuses that dimension.  Every trial still draws its
     own sample; on a one-base drift every sample has the same ray, and
     `trials=10000` costs one closure.
+
+    The first trial closure whose rank is the bound R, and which holds only
+    the control closure, its own ray and their brackets, becomes the
+    template: the first trial's, unless the drift bases grew it.  A later
+    ray is first decided by `LieClosure.replay`, which evaluates the
+    template's recorded bracket words on this trial's own vectors.  The
+    words lie in the trial's closure, so if each one raises the rank, that
+    closure has rank R and is the relaxed closure: the same exact argument
+    as the bound.  At the first word that does not, the ray is closed with
+    `run` as before.  A dimension is thus read off a full replay or a run,
+    and `achieved_full` stays exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -258,26 +269,33 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     base.run()
 
     target = kind.dimension
+    start = len(base.spanning)  # where each trial's ray goes
     relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
+    template: LieClosure | None = None  # a trial closure of rank `relaxed`
     closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
         ray = _integral(drift.to_vector())
         key = frozenset(ray.items())
-        if key in closed:
-            dims.append(closed[key])
-            continue
-        state = base.copy()
-        state.add_ray(ray)
-        state.run(relaxed)
-        dims.append(state.rank)
-        closed[key] = state.rank
-        if relaxed is None:
-            if state.rank < target:
-                state.add_generators(pair.drift.bases)
-                state.run()
-            relaxed = state.rank
+        if key not in closed:
+            if template is not None and base.copy().replay(template, start, ray):
+                closed[key] = relaxed
+            else:
+                state = base.copy()
+                state.add_ray(ray)
+                state.run(relaxed)
+                closed[key] = state.rank
+                if relaxed is None:
+                    if state.rank < target:
+                        state.add_generators(pair.drift.bases)
+                        state.run()
+                    relaxed = state.rank
+                # a state the drift bases grew is no template: its words
+                # need those bases as generators
+                if template is None and closed[key] == relaxed:
+                    template = state
+        dims.append(closed[key])
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structcon import analysis, graphs, patterns
+from structcon import algebra, analysis, graphs, patterns
 from structcon import verdict as verdict_module
 from structcon.algebra import (
     AlgebraElement,
     BasisElement,
+    LieClosure,
     bracket,
     canonical_basis,
     contains_sl,
@@ -390,12 +391,12 @@ def test_oracle_relaxed_bound_pinned(drift, controls, dims):
 
 # spec name -> (brackets evaluated by an 8-trial oracle at seed 0, dimension)
 _ORACLE_BRACKETS = {
-    "so6_bridged_triangles": (150, 15),
-    "gl4_pair_rings_loop": (185, 16),
-    "gl4_pair_rings_no_loop": (269, 15),
-    "gl4_unit_drift": (254, 16),
+    "so6_bridged_triangles": (80, 15),
+    "gl4_pair_rings_loop": (87, 16),
+    "gl4_pair_rings_no_loop": (108, 15),
+    "gl4_unit_drift": (100, 16),
     "su5_hub_with_loops": (71, 24),
-    "su6_two_triads": (285, 35),
+    "su6_two_triads": (208, 35),
 }
 
 
@@ -403,9 +404,11 @@ _ORACLE_BRACKETS = {
 def test_oracle_bracket_counts_pinned(name, monkeypatch):
     # gl4_pair_rings_no_loop never reaches full gl(4), so its later trials
     # run under the relaxed bound; the other specs are full from the first
-    # trial, so the bound is never computed.  The counts are those of the
+    # trial, so the bound is never computed.  On every spec the first trial
+    # is the template: each later trial replays its bracket words, which all
+    # raise the rank, and closes nothing.  The counts are those of the
     # generator-adjoint pair rule, which brackets each vector the control
-    # closure or a trial inserts with the generators only
+    # closure or the first trial inserts with the generators only
     brackets, dim = _ORACLE_BRACKETS[name]
     log = bracket_log(monkeypatch)
     assert oracle(load_pair(name), 8, 0).dimensions == (dim,) * 8
@@ -415,6 +418,69 @@ def test_oracle_bracket_counts_pinned(name, monkeypatch):
     # alive, so no id is reused
     pairs = [frozenset((id(x), id(y))) for x, y, _ in log]
     assert len(set(pairs)) == len(pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 50))
+def test_oracle_exact_under_shuffled_template_words(pair, seed):
+    # a replay counts only when every word raises the rank to the bound, and
+    # any bracket of a trial's vectors lies in its closure, so words at random
+    # earlier positions can only send more trials to their own closure
+    rng = random.Random(seed)
+    replay = LieClosure.replay
+
+    def shuffled(self, template, start, ray):
+        wrong = template.copy()
+        for k in range(start + 1, len(wrong.parents)):
+            wrong.parents[k] = tuple(rng.sample(range(k), 2))
+        return replay(self, wrong, start, ray)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LieClosure, "replay", shuffled)
+        got = oracle(pair, trials=8, seed=seed).dimensions
+    assert got == _reference_dimensions(pair, 8, seed)
+
+
+def test_oracle_falls_back_when_a_replay_falls_short(monkeypatch):
+    # found by a seeded scan over random pairs: so(4) is reached by every
+    # trial, but one later ray's replay of the first trial's words meets a
+    # dependent or zero word, and its own closure still reaches the bound
+    p = pattern(so(4), [[("B", 1, 2, 2), ("B", 2, 3, -1)], [("B", 1, 2, 2)]],
+                [("B", 1, 4), ("B", 3, 4)])
+    events = []
+    replay, run = LieClosure.replay, LieClosure.run
+
+    def logged_replay(self, *args):
+        events.append(("replay", replay(self, *args)))
+        return events[-1][1]
+
+    def logged_run(self, bound=None):
+        run(self, bound)
+        events.append(("run", self.rank))
+
+    monkeypatch.setattr(LieClosure, "replay", logged_replay)
+    monkeypatch.setattr(LieClosure, "run", logged_run)
+    assert oracle(p, trials=8, seed=0).dimensions == (6,) * 8 == _reference_dimensions(p, 8, 0)
+    assert ("replay", True) in events
+    assert any(events[k:k + 2] == [("replay", False), ("run", 6)] for k in range(len(events)))
+
+
+def test_closure_copy_keeps_parent_records_apart():
+    state = LieClosure(so(5))
+    state.add_generators([elem(so(5), ("B", 1, 2, 1)), elem(so(5), ("B", 2, 3, 1))])
+    state.run()
+    before = list(state.parents)
+    twin = state.copy()
+    twin.add_generators([elem(so(5), ("B", 3, 4, 1))])
+    twin.run()
+    assert state.parents == before and twin.parents[:len(before)] == before
+    assert len(twin.parents) > len(before)
+    # each record names the bracket its vector is the primitive of
+    for s in (state, twin):
+        for vec, link in zip(s.spanning, s.parents):
+            if link is not None:
+                z = algebra._bracket_vec(s.spanning[link[0]], s.spanning[link[1]], s.rules)
+                assert algebra._primitive(z) == vec
 
 
 def test_oracle_builds_rows_of_generator_supports_only(monkeypatch):
