@@ -603,35 +603,12 @@ class _Echelon:
                 for p, row in sorted(self.rows.items())]
 
 
-class SpanBasis:
-    """Row-reduced basis of a subspace; rank is exact by construction.
+class SpanBasis(record("SpanBasis", "kind rows")):
+    """Row-reduced basis of a subspace; rank is exact by construction."""
 
-    `ech` is the echelon of the rows, a copy of the closure's own, so
-    membership tests reduce against it instead of rebuilding one.  Equality,
-    hash and repr read `kind` and `rows` only, and no field can be assigned."""
-
-    __slots__ = ("kind", "rows", "ech")
+    __slots__ = ()
     kind: AlgebraKind
     rows: tuple[AlgebraElement, ...]
-    ech: _Echelon
-
-    def __init__(self, kind: AlgebraKind, rows: tuple[AlgebraElement, ...], ech: _Echelon) -> None:
-        for name, value in (("kind", kind), ("rows", rows), ("ech", ech)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SpanBasis:
-            return NotImplemented
-        return (self.kind, self.rows) == (other.kind, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.rows))
-
-    def __repr__(self) -> str:
-        return f"SpanBasis(kind={self.kind!r}, rows={self.rows!r})"
 
     @property
     def rank(self) -> int:
@@ -640,20 +617,23 @@ class SpanBasis:
     def contains(self, e: AlgebraElement) -> bool:
         if e.kind != self.kind:
             raise KindMismatch(f"element of {e.kind} tested against a {self.kind} span")
-        return self.ech.contains(_integral(e.to_vector()))
+        ech = _Echelon()
+        for row in self.rows:
+            ech.insert(_integral(row.to_vector()))
+        return ech.contains(_integral(e.to_vector()))
 
 
 class LieClosure:
     """Incremental bracket-closure state.
 
     The closure runs sweep by sweep, in FIFO order.  In a sweep, each
-    frontier vector (a new generator, or a vector the previous sweep
-    inserted) takes its turn: it is bracketed with vectors spanning the state
-    when its turn starts, and each bracket that raises the rank joins them
-    and the next frontier, until the span stabilizes, fills the whole algebra
-    or reaches a caller's `bound`.  A bound is the dimension of a Lie algebra
-    known to contain the closure: a span of that rank inside it is all of it,
-    so stopping there is exact.
+    frontier vector (a new generator, a replayed word, or a vector the
+    previous sweep inserted) takes its turn: it is bracketed with vectors
+    spanning the state when its turn starts, and each bracket that raises
+    the rank joins them and the next frontier, until the span stabilizes,
+    fills the whole algebra or reaches a caller's `bound`.  A bound is the
+    dimension of a Lie algebra known to contain the closure: a span of that
+    rank inside it is all of it, so stopping there is exact.
 
     The pair rule is generator-adjoint.  L(S) is the smallest subspace that
     contains S and is invariant under ad_s for each s in S (the LieTree
@@ -667,7 +647,7 @@ class LieClosure:
     queuing residuals, or taking the newest vector first, makes the
     coefficients blow up.
 
-    Each unordered pair is bracketed at most once: [y, x] = -[x, y] lies in
+    A run brackets each unordered pair at most once: [y, x] = -[x, y] lies in
     a span that only grows.  Pairs on disjoint node sets are skipped, since
     such elements commute; a vector's node mask is built from the basis
     elements of its support (D_1k counts node 1 and node k).  The state can
@@ -677,12 +657,13 @@ class LieClosure:
 
     Each pushed vector records its parent pair: None for a generator, and
     (left, right) for the bracket [spanning[left], spanning[right]] it is the
-    primitive of, in the orientation `run` evaluated it; `copy` copies the
-    records.  So a state that `run` extended by one ray can serve the
-    sampling oracle as a template once its rank is a known bound: `replay`
-    evaluates its bracket words on another ray's vectors, and if every word
-    raises the rank, that ray's closure has the bound's rank too, which is
-    exact for the same reason a bound is.
+    primitive of, in the orientation it was evaluated; `copy` copies the
+    records.  `replay` pushes such words, recorded by another state, before
+    a `run`: each is a bracket of this state's vectors, so it lies in the
+    closure, and it only seeds the frontier.  `run` then gives every vector
+    its turn as usual, so the closure it reaches, and its rank, are exact
+    whether the words raised the rank to the bound, stopped short, or were
+    none; it may bracket a pair a replayed word already bracketed.
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
@@ -695,15 +676,14 @@ class LieClosure:
         self.rules = _rules(kind)
         self.ech = _Echelon()
         self.sweep = _sweep
-        # primitive integer vectors, the bit masks of their nodes, and
-        # whether each is a generator; `generators` lists the generators'
-        # positions in `spanning`
+        # primitive integer vectors and the bit masks of their nodes;
+        # `generators` lists the generators' positions in `spanning`
         self.spanning: list[dict[int, int]] = []
         self.masks: list[int] = []
-        self.is_generator: list[bool] = []
         self.generators: list[int] = []
         # parents[k]: None for a generator, else the positions (left, right)
-        # of the bracket whose primitive is spanning[k]
+        # of the bracket whose primitive is spanning[k]; a vector is bracketed
+        # as a generator when it is one, or in the sweep case
         self.parents: list[tuple[int, int] | None] = []
         # reach[k]: len(spanning) when vector k's turn started; the vectors
         # past len(reach) have had no turn yet and form the frontier
@@ -718,7 +698,6 @@ class LieClosure:
         new.sweep = self.sweep
         new.spanning = list(self.spanning)
         new.masks = list(self.masks)
-        new.is_generator = list(self.is_generator)
         new.generators = list(self.generators)
         new.parents = list(self.parents)
         new.reach = list(self.reach)
@@ -729,18 +708,16 @@ class LieClosure:
     def rank(self) -> int:
         return self.ech.rank
 
-    def _push(self, vec: dict[int, int], generator: bool,
-              parents: tuple[int, int] | None = None) -> None:
+    def _push(self, vec: dict[int, int], parents: tuple[int, int] | None = None) -> None:
         basis = self.rules.basis
         mask = 0
         for idx in vec:
             b = basis[idx]
             mask |= (1 << b.i) | (1 << b.j)
-        if generator:
+        if parents is None:
             self.generators.append(len(self.spanning))
         self.spanning.append(vec)
         self.masks.append(mask)
-        self.is_generator.append(generator)
         self.parents.append(parents)
 
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
@@ -754,7 +731,7 @@ class LieClosure:
         of its coordinates); one in the span already, zero included, adds
         nothing."""
         if self.ech.insert(vec):
-            self._push(vec, True)
+            self._push(vec)
 
     def run(self, bound: int | None = None) -> None:
         """Sweep until the span stabilizes, fills the algebra or reaches
@@ -762,7 +739,7 @@ class LieClosure:
         vouches is the dimension of a Lie algebra holding every generator."""
         bound = self.kind.dimension if bound is None else bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
-        is_generator, rules, sweep = self.is_generator, self.rules, self.sweep
+        parents, rules, sweep = self.parents, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
         while len(reach) < len(spanning) and ech.rank < bound:
             end = len(spanning)
@@ -771,7 +748,7 @@ class LieClosure:
                 reach.append(stop)
                 # a generator meets every vector present, any other vector
                 # the generators only, which are all present by now
-                x_gen = is_generator[ix]
+                x_gen = sweep or parents[ix] is None
                 for iy in range(stop) if x_gen else self.generators:
                     # an earlier y whose turn reached past ix already met x,
                     # so [x, y] = -[y, x] is in the span; x skips itself and those
@@ -781,7 +758,7 @@ class LieClosure:
                         else:
                             z = _bracket_vec(spanning[iy], x, rules)
                         if z and ech.insert(z):
-                            self._push(_primitive(z), sweep, (ix, iy) if x_gen else (iy, ix))
+                            self._push(_primitive(z), (ix, iy) if x_gen else (iy, ix))
                             if ech.rank == bound:
                                 break
                 if ech.rank == bound:
@@ -789,35 +766,21 @@ class LieClosure:
             if len(spanning) > end:
                 self.steps += 1
 
-    def replay(self, template: "LieClosure", start: int, ray: dict[int, int]) -> bool:
-        """Add `ray` as a generator and evaluate the bracket words that
-        `template` recorded past position `start`, in order and with their
-        recorded orientation, on this state's vectors.  `template` must be
-        this state extended by one ray and `run`: its first `start` vectors
-        are this state's.
-
-        Returns True when every word raises the rank, so the rank is then
-        the template's; False at the first zero or dependent word, leaving a
-        partial state to be discarded.  Each word is a bracket of this
-        state's vectors, so a True result spans a subspace of L(S ∪ {ray}):
-        when the template's rank is the dimension of a Lie algebra known to
-        contain that closure, the closure is that algebra.
-        """
-        self.add_ray(ray)
+    def replay(self, words: Iterable[tuple[int, int]]) -> None:
+        """Push the bracket words (left, right), each the bracket of two
+        vectors present, in order while each raises the rank; stop at the
+        first zero or dependent word.  The pushed vectors have had no turn,
+        so they stay in the frontier for `run`."""
         spanning, rules, ech = self.spanning, self.rules, self.ech
-        # the ray joins the span here iff it joined the template's
-        if len(spanning) != min(start + 1, len(template.spanning)):
-            return False
-        for left, right in template.parents[len(spanning):]:
+        for left, right in words:
             z = _bracket_vec(spanning[left], spanning[right], rules)
             if not (z and ech.insert(z)):
-                return False
-            self._push(_primitive(z), False, (left, right))
-        return True
+                return
+            self._push(_primitive(z), (left, right))
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())
-        return SpanBasis(self.kind, rows, self.ech.copy())
+        return SpanBasis(self.kind, rows)
 
 
 def lie_closure(generators: list[AlgebraElement]) -> tuple[SpanBasis, int, int]:

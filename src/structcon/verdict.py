@@ -250,15 +250,16 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     `trials=10000` costs one closure.
 
     The first trial closure whose rank is the bound R, and which holds only
-    the control closure, its own ray and their brackets, becomes the
-    template: the first trial's, unless the drift bases grew it.  A later
-    ray is first decided by `LieClosure.replay`, which evaluates the
-    template's recorded bracket words on this trial's own vectors.  The
-    words lie in the trial's closure, so if each one raises the rank, that
-    closure has rank R and is the relaxed closure: the same exact argument
-    as the bound.  At the first word that does not, the ray is closed with
-    `run` as before.  A dimension is thus read off a full replay or a run,
-    and `achieved_full` stays exact.
+    the control closure, its own ray and their brackets, gives the template
+    words: the parent pairs of the vectors it inserted after its ray (the
+    first trial's, unless the drift bases grew it).  A later ray that joins
+    the control closure's span replays them first (`LieClosure.replay`):
+    they are pushed in order while each raises the rank, and only seed the
+    trial's frontier.  Every trial then `run`s under the bound, and its
+    dimension is always read off that run, at the bound or at the fixpoint.
+    A replay that reaches R leaves `run` nothing to do; one that stops short
+    leaves its vectors for `run` to finish from.  So `achieved_full` stays
+    exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -271,7 +272,7 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     target = kind.dimension
     start = len(base.spanning)  # where each trial's ray goes
     relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
-    template: LieClosure | None = None  # a trial closure of rank `relaxed`
+    words: list[tuple[int, int]] | None = None  # the template's bracket words past its ray
     closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
     dims: list[int] = []
     for t in range(trials):
@@ -279,22 +280,20 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
         ray = _integral(drift.to_vector())
         key = frozenset(ray.items())
         if key not in closed:
-            if template is not None and base.copy().replay(template, start, ray):
-                closed[key] = relaxed
-            else:
-                state = base.copy()
-                state.add_ray(ray)
-                state.run(relaxed)
-                closed[key] = state.rank
-                if relaxed is None:
-                    if state.rank < target:
-                        state.add_generators(pair.drift.bases)
-                        state.run()
-                    relaxed = state.rank
-                # a state the drift bases grew is no template: its words
-                # need those bases as generators
-                if template is None and closed[key] == relaxed:
-                    template = state
+            state = base.copy()
+            state.add_ray(ray)
+            if words is not None and len(state.spanning) > start:
+                state.replay(words)
+            state.run(relaxed)
+            closed[key] = state.rank
+            if relaxed is None:
+                if state.rank < target:
+                    state.add_generators(pair.drift.bases)
+                    state.run()
+                relaxed = state.rank
+            # the words of a state the drift bases grew need those bases
+            if words is None and closed[key] == relaxed:
+                words = state.parents[start + 1:]
         dims.append(closed[key])
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
 

@@ -1,16 +1,20 @@
 """Metamorphic invariants of the checker and the oracle on seeded random pairs.
 
 Renaming the nodes is an automorphism of so(n), gl(n) and su(n), so it keeps
-every verdict and every closure dimension.  A larger control set generates a
-larger algebra, so adding a control base never lowers a dimension and never
-turns a Yes into a No.
+every verdict and every closure dimension.  So is X -> -X^T, which
+relabelling never gives: on gl(n) it maps E_ij to -E_ji and reverses every
+arc, and on su(n) it is complex conjugation, which fixes B and negates C and
+D.  It moves tags and signs, so it checks the structure constants too.  A
+larger control set generates a larger algebra, so adding a control base
+never lowers a dimension and never turns a Yes into a No.
 """
 
 import random
 
 import pytest
 
-from structcon.patterns import ControlPattern, ZeroPatternPair
+from structcon.algebra import AlgebraElement, BasisElement
+from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
 from structcon.verdict import Verdict, check, oracle
 
 from helpers import kind_candidates, random_kind_pair, relabel
@@ -38,6 +42,30 @@ def test_relabelling_nodes_keeps_verdict_and_dimensions(family, n):
         assert check(moved).verdict is check(pair).verdict, (k, image)
         assert (oracle(moved, TRIALS, seed=k).dimensions
                 == oracle(pair, TRIALS, seed=k).dimensions), (k, image)
+
+
+def minus_transpose(pair):
+    """The pair's image under X -> -X^T, drift bases in order (gl or su)."""
+    kind = pair.kind
+
+    def move(b, c):
+        if b.tag == "E":
+            return BasisElement("E", b.j, b.i), -c
+        return b, (c if b.tag == "B" else -c)
+
+    bases = tuple(AlgebraElement.build(kind, [move(b, c) for b, c in base.items()])
+                  for base in pair.drift.bases)
+    control = tuple(move(b, 1)[0] for b in pair.control.bases)
+    return ZeroPatternPair(DriftPattern(kind, bases), ControlPattern(kind, control))
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n in KINDS if f != "so"])
+def test_minus_transpose_keeps_verdict_and_dimensions(family, n):
+    for k, pair, _ in _cases(family, n, 3001 * n + len(family)):
+        image = minus_transpose(pair)
+        assert check(image).verdict is check(pair).verdict, k
+        assert (oracle(image, TRIALS, seed=k).dimensions
+                == oracle(pair, TRIALS, seed=k).dimensions), k
 
 
 @pytest.mark.parametrize("family,n", KINDS)

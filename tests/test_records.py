@@ -17,8 +17,6 @@ from structcon.algebra import (
     BasisElement,
     Cq,
     Family,
-    SpanBasis,
-    _Echelon,
     lie_closure,
     record,
     so,
@@ -66,18 +64,13 @@ RECORDS = {
 }
 
 
-def field_names(rec):
-    # `ech` takes no part in a SpanBasis's value
-    return ("kind", "rows") if isinstance(rec, SpanBasis) else rec._fields
-
-
 @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
 def test_record_value_semantics(make):
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b and hash(a) == hash(b)
 
-    names = field_names(a)
+    names = a._fields
     fields = tuple(getattr(a, name) for name in names)
     # the hash a frozen dataclass had: that of the tuple of compared fields
     assert hash(a) == hash(fields)
@@ -98,13 +91,4 @@ def test_records_of_equal_fields_and_different_types_differ():
     for g in graphs:
         for h in graphs:
             assert (g == h) is (g is h) and (g != h) is (g is not h)
-
-
-def test_span_basis_equality_ignores_its_echelon():
-    basis = span()
-    other = SpanBasis(basis.kind, basis.rows, _Echelon())
-    assert other == basis and hash(other) == hash(basis)
-    assert repr(other) == repr(basis) and "ech" not in repr(basis)
-    # membership reduces against the echelon it was given
-    assert basis.contains(basis.rows[0]) and not other.contains(basis.rows[0])
 

@@ -423,17 +423,15 @@ def test_oracle_bracket_counts_pinned(name, monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(pair=_pairs(), seed=st.integers(0, 50))
 def test_oracle_exact_under_shuffled_template_words(pair, seed):
-    # a replay counts only when every word raises the rank to the bound, and
-    # any bracket of a trial's vectors lies in its closure, so words at random
-    # earlier positions can only send more trials to their own closure
+    # replayed words only seed a trial's `run`, and any bracket of a trial's
+    # vectors lies in its closure, so words at random earlier positions
+    # cannot change a dimension
     rng = random.Random(seed)
     replay = LieClosure.replay
 
-    def shuffled(self, template, start, ray):
-        wrong = template.copy()
-        for k in range(start + 1, len(wrong.parents)):
-            wrong.parents[k] = tuple(rng.sample(range(k), 2))
-        return replay(self, wrong, start, ray)
+    def shuffled(self, words):
+        first = len(self.spanning)
+        return replay(self, [tuple(rng.sample(range(first + k), 2)) for k in range(len(words))])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LieClosure, "replay", shuffled)
@@ -441,28 +439,33 @@ def test_oracle_exact_under_shuffled_template_words(pair, seed):
     assert got == _reference_dimensions(pair, 8, seed)
 
 
-def test_oracle_falls_back_when_a_replay_falls_short(monkeypatch):
+def test_oracle_runs_on_from_a_replay_that_falls_short(monkeypatch):
     # found by a seeded scan over random pairs: so(4) is reached by every
     # trial, but one later ray's replay of the first trial's words meets a
-    # dependent or zero word, and its own closure still reaches the bound
+    # dependent or zero word; the trial's `run` goes on from the state the
+    # replay left and still reaches the bound
     p = pattern(so(4), [[("B", 1, 2, 2), ("B", 2, 3, -1)], [("B", 1, 2, 2)]],
                 [("B", 1, 4), ("B", 3, 4)])
     events = []
     replay, run = LieClosure.replay, LieClosure.run
 
-    def logged_replay(self, *args):
-        events.append(("replay", replay(self, *args)))
-        return events[-1][1]
+    def logged_replay(self, words):
+        replay(self, words)
+        events.append(("replay", id(self), len(self.spanning), self.rank))
 
     def logged_run(self, bound=None):
+        events.append(("run", id(self), len(self.spanning), self.rank))
         run(self, bound)
-        events.append(("run", self.rank))
+        events.append(("ran", self.rank))
 
     monkeypatch.setattr(LieClosure, "replay", logged_replay)
     monkeypatch.setattr(LieClosure, "run", logged_run)
     assert oracle(p, trials=8, seed=0).dimensions == (6,) * 8 == _reference_dimensions(p, 8, 0)
-    assert ("replay", True) in events
-    assert any(events[k:k + 2] == [("replay", False), ("run", 6)] for k in range(len(events)))
+    assert ("replay", 6) in [(e[0], e[-1]) for e in events]
+    short = [k for k, e in enumerate(events) if e[0] == "replay" and e[-1] < 6]
+    assert short
+    for k in short:
+        assert events[k + 1] == ("run", *events[k][1:]) and events[k + 2] == ("ran", 6)
 
 
 def test_closure_copy_keeps_parent_records_apart():
