@@ -16,9 +16,9 @@ the independent check.  The structure constants are built per basis element
 on first use and applied by one vector routine, which both `bracket` and
 `LieClosure` call.
 
-`_Rules` is the one per-kind table: it holds the canonical basis, the
-index of each basis element and the structure-constant rows, and every
-lookup by coordinate goes through it.
+X_ij has coordinate (t*N + i)*N + j, where N = n + 1 and t is X's place in
+"BCDE": sparse, but ordered as the canonical basis, so pivots and signs are
+those of dense indices and no basis or index table is built.
 
 The family of an algebra matters here only through the basis tags it admits
 (`_ADMITTED`): the basis, its order, the dimension and the matrix route are
@@ -53,9 +53,10 @@ _ADMITTED = {Family.SO: ("B",), Family.GL: ("E",), Family.SU: ("B", "C", "D")}
 # process working through many sizes drops the least recently used
 _KIND_CACHE_SIZE = 32
 
-# most basis elements a per-kind table (`_Rules`) may hold.  It builds every
-# one: a cold two-edge su(600) `report`, 3.6e5 elements, takes 1.8 s and
-# 116 MB peak RSS (2-vCPU VM, Python 3.11), growing with the element count
+# most basis elements a closure's algebra may have.  Nothing is built per
+# element (a cold two-edge su(1000) `report`: 0.25 s, 19 MB peak RSS), but a
+# closure that fills the algebra holds that many vectors of as many
+# coordinates: filling su(80), 6399 elements, takes 2 s (2-vCPU VM, Python 3.11)
 _MAX_DIMENSION = 10**6
 
 # largest n an algebra may have.  The pattern graphs and their walks hold
@@ -160,20 +161,17 @@ def _tag_size(tag: str, n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _tag_basis(tag: str, n: int) -> list[BasisElement]:
-    """The canonical basis elements of one tag: D_12..D_1n, E row-major,
-    B or C lexicographic over i < j."""
-    if tag == "D":
-        return [BasisElement("D", 1, k) for k in range(2, n + 1)]
-    if tag == "E":
-        return [BasisElement("E", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return [BasisElement(tag, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+def _stored(tag: str, i: int, j: int) -> bool:
+    """Whether X_ij is a canonical basis element: E_ij for any i, j, B_ij and
+    C_ij for i < j, D_ij for 1 = i < j."""
+    return tag == "E" or i < j and (tag != "D" or i == 1)
 
 
 def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
-    """Ordered basis over the admitted tags: B lexicographic, then C, then
-    D_12..D_1n, then E row-major."""
-    return _rules(kind).basis
+    """Ordered basis over the admitted tags, each in (tag, i, j) order: B
+    lexicographic, then C, then D_12..D_1n, then E row-major."""
+    return tuple(BasisElement(t, i, j) for t in _ADMITTED[kind.family] for i in range(1, kind.n + 1)
+                 for j in range(1, kind.n + 1) if _stored(t, i, j))
 
 
 def _bump(terms: dict[BasisElement, Fraction], key: BasisElement, c: Fraction) -> None:
@@ -275,12 +273,12 @@ class AlgebraElement:
 
     def to_vector(self) -> dict[int, Fraction]:
         index = _rules(self.kind).index
-        return {index[b]: c for b, c in self._terms.items()}
+        return {index(b): c for b, c in self._terms.items()}
 
     @staticmethod
     def from_vector(kind: AlgebraKind, vec: dict[int, Fraction]) -> "AlgebraElement":
-        basis = _rules(kind).basis
-        return AlgebraElement(kind, {basis[k]: c for k, c in vec.items() if c})
+        element = _rules(kind).element
+        return AlgebraElement(kind, {element(k): c for k, c in vec.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +397,8 @@ _UNITS = {
 }
 
 
-def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, int]]:
-    """Bracket of two generators, expanded over the canonical basis.
+def _pair_bracket(a: tuple, b: tuple) -> list[tuple[tuple, int]]:
+    """Bracket of two (tag, i, j) generators, over the canonical basis.
 
     The structure constants are derived, not tabulated: a and b are sums of
     matrix units i^k E_pq (`_UNITS`), ab - ba follows from the one rule
@@ -409,21 +407,21 @@ def _pair_bracket(a: BasisElement, b: BasisElement) -> list[tuple[BasisElement, 
     D_1k = -Im m_kk (k >= 2).  The dense matrix route shares none of this.
     """
     powers: dict[tuple[int, int], list[int]] = {}  # (p, s) -> count per power of i
-    ua, ub = _UNITS[a.tag](a.i, a.j), _UNITS[b.tag](b.i, b.j)
+    ua, ub = _UNITS[a[0]](a[1], a[2]), _UNITS[b[0]](b[1], b[2])
     for left, right, sign in ((ua, ub, 1), (ub, ua, -1)):
         for k, p, q in left:
             for l, r, s in right:
                 if q == r:
                     powers.setdefault((p, s), [0, 0, 0, 0])[(k + l) % 4] += sign
     m = {ps: (c[0] - c[2], c[1] - c[3]) for ps, c in powers.items()}
-    if a.tag == "E":
-        return [(BasisElement("E", p, s), re) for (p, s), (re, _) in m.items() if re]
+    if a[0] == "E":
+        return [(("E", p, s), re) for (p, s), (re, _) in m.items() if re]
     # brackets are traceless, so the i*E_kk parts fit the D_1k basis
     if sum(im for (p, s), (_, im) in m.items() if p == s):
         raise ArithmeticError(f"[{a}, {b}] has a nonzero trace")
-    off = [(BasisElement(tag, p, s), c) for (p, s), (re, im) in m.items() if p < s
+    off = [((tag, p, s), c) for (p, s), (re, im) in m.items() if p < s
            for tag, c in (("B", re), ("C", im)) if c]
-    diag = [(BasisElement("D", 1, p), -im) for (p, s), (_, im) in m.items() if p == s > 1 and im]
+    diag = [(("D", 1, p), -im) for (p, s), (_, im) in m.items() if p == s > 1 and im]
     return off + diag
 
 
@@ -431,42 +429,44 @@ _Row = dict[int, tuple[tuple[int, int], ...]]
 
 
 class _Rules:
-    """The per-kind table: the canonical basis, its index, and the structure
-    constants, one basis element at a time.
+    """The per-kind table: the coordinate formula, and the structure
+    constants one basis element at a time.
 
-    Row a maps each basis index b with [a, b] != 0 to that bracket as
-    (index, coefficient) pairs, the coefficients as `int`.  Elements on
+    Row a maps each coordinate b with [a, b] != 0 to that bracket as
+    (coordinate, coefficient) pairs, the coefficients as `int`.  Elements on
     disjoint node pairs commute, so a row scans only the elements sharing a
     node with a, and is built the first time a bracket needs it.
     """
 
-    __slots__ = ("basis", "index", "by_node", "rows")
+    __slots__ = ("N", "tags", "rows")
 
     def __init__(self, kind: AlgebraKind):
         if kind.dimension > _MAX_DIMENSION:
             raise ValidationError(f"{kind} has dimension {kind.dimension}, over the limit of "
                                   f"{_MAX_DIMENSION} for a structure-constant table")
-        self.basis = tuple(b for tag in _ADMITTED[kind.family] for b in _tag_basis(tag, kind.n))
-        self.index = {b: k for k, b in enumerate(self.basis)}
-        self.by_node: list[list[int]] = [[] for _ in range(kind.n + 1)]
-        for k, b in enumerate(self.basis):
-            self.by_node[b.i].append(k)
-            if b.j != b.i:
-                self.by_node[b.j].append(k)
+        self.N = kind.n + 1
+        self.tags = _ADMITTED[kind.family]
         self.rows: dict[int, _Row] = {}
+
+    def index(self, b: _Key) -> int:
+        return ("BCDE".index(b[0]) * self.N + b[1]) * self.N + b[2]
+
+    def element(self, k: int) -> BasisElement:
+        t, ij = divmod(k, self.N * self.N)
+        return BasisElement("BCDE"[t], *divmod(ij, self.N))
 
     def row(self, ia: int) -> _Row:
         row = self.rows.get(ia)
         if row is None:
-            a = self.basis[ia]
+            _, i, j = a = self.element(ia)
             row = {}
-            for ib in {*self.by_node[a.i], *self.by_node[a.j]}:
-                b = self.basis[ib]
+            for b in {(tag, p, q) for tag in self.tags for k in range(1, self.N)
+                      for p, q in ((i, k), (k, i), (j, k), (k, j)) if _stored(tag, p, q)}:
                 entries = _pair_bracket(a, b)
                 if any(c.denominator != 1 for _, c in entries):
                     raise ArithmeticError(f"[{a}, {b}] has a non-integer structure constant")
                 if entries:
-                    row[ib] = tuple((self.index[r], int(c)) for r, c in entries)
+                    row[self.index(b)] = tuple((self.index(r), int(c)) for r, c in entries)
             self.rows[ia] = row
         return row
 
@@ -709,11 +709,10 @@ class LieClosure:
         return self.ech.rank
 
     def _push(self, vec: dict[int, int], parents: tuple[int, int] | None = None) -> None:
-        basis = self.rules.basis
+        N = self.rules.N
         mask = 0
         for idx in vec:
-            b = basis[idx]
-            mask |= (1 << b.i) | (1 << b.j)
+            mask |= (1 << idx // N % N) | (1 << idx % N)
         if parents is None:
             self.generators.append(len(self.spanning))
         self.spanning.append(vec)

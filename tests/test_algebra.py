@@ -108,7 +108,7 @@ def test_rule_table_size_limit(monkeypatch):
     import structcon.algebra as algebra
 
     monkeypatch.setattr(algebra, "_MAX_DIMENSION", 10)
-    assert len(_Rules(so(5)).basis) == 10
+    _Rules(so(5))
     with pytest.raises(ValidationError, match=r"so\(6\) has dimension 15, over the limit of 10"):
         _Rules(so(6))
 
@@ -225,23 +225,35 @@ def test_rule_rows_match_full_basis_scan(kind):
     # rows scan only the elements sharing a node; a full scan must find nothing more
     basis = canonical_basis(kind)
     rules = _Rules(kind)
-    for ia, a in enumerate(basis):
+    for a in basis:
         full = {}
-        for ib, b in enumerate(basis):
+        for b in basis:
             entries = _pair_bracket(a, b)
             if entries:
-                full[ib] = tuple((basis.index(r), c) for r, c in entries)
-        row = rules.row(ia)
+                full[rules.index(b)] = tuple((rules.index(r), c) for r, c in entries)
+        row = rules.row(rules.index(a))
         assert row == full, a
         assert all(type(c) is int for ent in row.values() for _, c in ent), a
+
+
+@pytest.mark.parametrize("kind", [so(4), so(5), gl(3), su(4)], ids=str)
+def test_coordinates_order_as_the_canonical_basis(kind):
+    # a coordinate is a formula in (tag, i, j), not a position in a table:
+    # sparse, but increasing along the basis, and inverted by `element`
+    rules = _Rules(kind)
+    basis = canonical_basis(kind)
+    codes = [rules.index(b) for b in basis]
+    assert codes == sorted(set(codes))
+    assert tuple(rules.element(k) for k in codes) == basis
 
 
 def test_rule_rows_reject_non_integer_structure_constants(monkeypatch):
     import structcon.algebra as algebra
 
     monkeypatch.setattr(algebra, "_pair_bracket", lambda a, b: [(a, Q(1, 2))])
+    rules = _Rules(so(3))
     with pytest.raises(ArithmeticError):
-        _Rules(so(3)).row(0)
+        rules.row(rules.index(BasisElement("B", 1, 2)))
 
 
 def _elements(kind, max_terms=4):
@@ -372,8 +384,7 @@ def _assert_pairs_pruned(log):
     pairs = [frozenset((id(x), id(y))) for x, y, _ in log]
     assert len(set(pairs)) == len(pairs)
     for x, y, rules in log:
-        nodes_x, nodes_y = ({n for idx in v for n in (rules.basis[idx].i, rules.basis[idx].j)}
-                            for v in (x, y))
+        nodes_x, nodes_y = ({n for idx in v for n in rules.element(idx)[1:]} for v in (x, y))
         assert nodes_x & nodes_y
 
 
@@ -507,9 +518,11 @@ def test_span_basis_keeps_its_span_when_the_closure_grows(seed):
         return AlgebraElement.build(kind, [(rng.choice(candidates), rng.choice([-2, -1, 1, 3]))
                                            for _ in range(terms)])
 
+    rules, basis = _Rules(kind), canonical_basis(kind)
+
     def dense(e):
         v = e.to_vector()
-        return [v.get(k, Q(0)) for k in range(kind.dimension)]
+        return [v.get(rules.index(b), Q(0)) for b in basis]
 
     gens = [sample(1), sample(1)]
     state = LieClosure(kind)

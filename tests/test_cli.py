@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -313,16 +314,23 @@ def test_cmd_report(capsys):
 def test_cmd_report_small_closure_in_large_algebra(tmp_path, capsys, monkeypatch):
     # su(200) has dimension 39999, but B12 and C12 close to a 3-dimensional
     # su(2); every bracket has B12 or C12 on the left, so only their rows of
-    # structure constants are built
+    # structure constants are built.  No table grows with the 39999 basis
+    # elements either, so the whole command allocates little
     tables = fresh_rules(monkeypatch)
     spec = tmp_path / "su200.json"
     spec.write_text(json.dumps(su_spec(200)))
-    assert main(["report", str(spec), "--json"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["report", str(spec), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle"]["dimensions"] == [3] * 8
     assert payload["contradiction"] is False
     rules = tables(su(200))
-    built = [rules.basis[k] for k in sorted(rules.rows)]
+    built = [rules.element(k) for k in sorted(rules.rows)]
     assert built == [BasisElement("B", 1, 2), BasisElement("C", 1, 2)]
 
 

@@ -4,17 +4,22 @@ Renaming the nodes is an automorphism of so(n), gl(n) and su(n), so it keeps
 every verdict and every closure dimension.  So is X -> -X^T, which
 relabelling never gives: on gl(n) it maps E_ij to -E_ji and reverses every
 arc, and on su(n) it is complex conjugation, which fixes B and negates C and
-D.  It moves tags and signs, so it checks the structure constants too.  A
-larger control set generates a larger algebra, so adding a control base
-never lowers a dimension and never turns a Yes into a No.
+D.  It moves tags and signs, so it checks the structure constants too.
+so(n) is the real subalgebra of su(n), so an so(n) pair read in su(n)
+closes to the same dimensions: the su(n) brackets of B elements must have
+no C or D part.  Scaling a drift base by a nonzero rational keeps its span,
+so it keeps the relaxed closure L(A_1..A_m, U), row for row, and the
+verdict.  A larger control set generates a larger algebra, so adding a
+control base never lowers a dimension and never turns a Yes into a No.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from structcon.algebra import AlgebraElement, BasisElement
-from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
+from structcon.algebra import AlgebraElement, BasisElement, lie_closure, su
+from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair, control_generators
 from structcon.verdict import Verdict, check, oracle
 
 from helpers import kind_candidates, random_kind_pair, relabel
@@ -80,3 +85,35 @@ def test_adding_a_control_base_is_monotone(family, n):
         assert all(a >= b for a, b in zip(after.dimensions, before.dimensions)), k
         if check(pair).verdict in YES:
             assert check(bigger).verdict not in NO, k
+
+
+def as_su(pair):
+    """An so(n) pair read in su(n): the same B bases, coefficients and order."""
+    kind = su(pair.kind.n)
+    bases = tuple(AlgebraElement.build(kind, base.items()) for base in pair.drift.bases)
+    return ZeroPatternPair(DriftPattern(kind, bases), ControlPattern(kind, pair.control.bases))
+
+
+@pytest.mark.parametrize("n", [n for f, n in KINDS if f == "so"])
+def test_so_pair_read_in_su_keeps_dimensions(n):
+    for k, pair, _ in _cases("so", n, 4001 * n):
+        assert (oracle(as_su(pair), TRIALS, seed=k).dimensions
+                == oracle(pair, TRIALS, seed=k).dimensions), k
+
+
+def relaxed_closure(pair):
+    """L(A_1..A_m, U), the closure of the drift bases and the controls, as its
+    RREF basis and dimension; the RREF of a subspace is unique."""
+    return lie_closure([*pair.drift.bases, *control_generators(pair.control)])[:2]
+
+
+@pytest.mark.parametrize("family,n", KINDS)
+def test_scaling_a_drift_base_keeps_verdict_and_relaxed_closure(family, n):
+    for k, pair, rng in _cases(family, n, 5003 * n + len(family)):
+        bases = list(pair.drift.bases)
+        pick = rng.randrange(len(bases))
+        factor = Fraction(rng.choice([-7, -3, -1, 2, 5]), rng.choice([1, 2, 3, 11]))
+        bases[pick] = bases[pick].scale(factor)
+        scaled = ZeroPatternPair(DriftPattern(pair.kind, tuple(bases)), pair.control)
+        assert check(scaled).verdict is check(pair).verdict, (k, factor)
+        assert relaxed_closure(scaled) == relaxed_closure(pair), (k, factor)
