@@ -169,9 +169,11 @@ def _stored(tag: str, i: int, j: int) -> bool:
 
 def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
     """Ordered basis over the admitted tags, each in (tag, i, j) order: B
-    lexicographic, then C, then D_12..D_1n, then E row-major."""
-    return tuple(BasisElement(t, i, j) for t in _ADMITTED[kind.family] for i in range(1, kind.n + 1)
-                 for j in range(1, kind.n + 1) if _stored(t, i, j))
+    lexicographic, then C, then D_12..D_1n, then E row-major: the (i, j)
+    that `_stored` admits, so `_make` skips `BasisElement`'s checks."""
+    return tuple(BasisElement._make((t, i, j)) for t in _ADMITTED[kind.family]
+                 for i in range(1, 2 if t == "D" else kind.n + 1)
+                 for j in range(1 if t == "E" else i + 1, kind.n + 1))
 
 
 def _bump(terms: dict[BasisElement, Fraction], key: BasisElement, c: Fraction) -> None:
@@ -603,6 +605,79 @@ class _Echelon:
                 for p, row in sorted(self.rows.items())]
 
 
+# below 2^30, so a residue is a one-digit CPython int; any prime is exact
+_P = 2**30 - 35
+
+
+def _eliminate_mod(v: dict[int, int], c: int, row: dict[int, int]) -> None:
+    """v <- v - c·row mod `_P` in place, dropping the entries that vanish."""
+    for idx, x in row.items():
+        nv = (v.get(idx, 0) - c * x) % _P
+        if nv:
+            v[idx] = nv
+        else:
+            v.pop(idx, None)
+
+
+def _monic(row: dict[int, int], p: int) -> dict[int, int]:
+    """row mod `_P`, scaled to entry 1 at p, which p must not divide."""
+    inv = pow(row[p], -1, _P)
+    return {idx: r for idx, v in row.items() if (r := v * inv % _P)}
+
+
+class _ModEchelon:
+    """`_Echelon`'s `insert`, `rank` and `copy` mod the prime `_P`, seeded
+    with an exact echelon's rows mod p (each stays reduced; one whose pivot
+    entry p divides is left out).  Integer vectors of a Lie algebra L over Q
+    have rank mod p at most their rank over Q, as reduction commutes with
+    the integer structure constants: reaching dim L proves it.  A vector
+    called dependent here may not be over Q, so `dependent` keeps each one
+    for `exact_rank`.
+    """
+
+    __slots__ = ("exact", "rows", "dependent")
+
+    def __init__(self, exact: _Echelon) -> None:
+        self.exact = exact
+        self.rows = {q: _monic(row, q) for q, row in exact.rows.items() if row[q] % _P}
+        self.dependent: list[dict[int, int]] = []
+
+    def copy(self) -> "_ModEchelon":
+        new = object.__new__(_ModEchelon)
+        new.exact, new.rows, new.dependent = self.exact, dict(self.rows), list(self.dependent)
+        return new
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: dict[int, int]) -> bool:
+        rows = self.rows
+        out = {idx: r for idx, v in vec.items() if (r := v % _P)}
+        for q in [q for q in out if q in rows]:
+            _eliminate_mod(out, out[q], rows[q])
+        if not out:
+            self.dependent.append(vec)
+            return False
+        p = min(out)
+        out = _monic(out, p)
+        for q, row in rows.items():
+            if p in row:
+                new = dict(row)
+                _eliminate_mod(new, row[p], out)
+                rows[q] = new
+        rows[p] = out
+        return True
+
+    def exact_rank(self, vectors: Iterable[dict[int, int]]) -> int | None:
+        """The rank over Q of the exact seed rows' span with `vectors` added,
+        if that span holds every vector called dependent here; else None."""
+        ech = self.exact.copy()
+        for vec in vectors:
+            ech.insert(vec)
+        return ech.rank if all(map(ech.contains, self.dependent)) else None
+
+
 class SpanBasis(record("SpanBasis", "kind rows")):
     """Row-reduced basis of a subspace; rank is exact by construction."""
 
@@ -655,15 +730,15 @@ class LieClosure:
     oracle uses to share the control-set closure across trials: the added
     drift's turn then meets that whole basis.
 
-    Each pushed vector records its parent pair: None for a generator, and
-    (left, right) for the bracket [spanning[left], spanning[right]] it is the
-    primitive of, in the orientation it was evaluated; `copy` copies the
-    records.  `replay` pushes such words, recorded by another state, before
-    a `run`: each is a bracket of this state's vectors, so it lies in the
-    closure, and it only seeds the frontier.  `run` then gives every vector
-    its turn as usual, so the closure it reaches, and its rank, are exact
-    whether the words raised the rank to the bound, stopped short, or were
-    none; it may bracket a pair a replayed word already bracketed.
+    Each pushed vector records its parent pair: None for a generator, else
+    the positions (left, right) of the bracket it is the primitive of, as
+    evaluated.  `replay` pushes such words, recorded by another state, in
+    front of a `run`: each lies in the closure and only seeds the frontier.
+    `ech` may be a `_ModEchelon`, deciding ranks mod p on the same vectors,
+    brackets and order.  Its rank is then a lower bound, exact once it meets
+    the `bound`.  Below it, the pushed vectors' exact rank is the closure's
+    if every bracket called dependent lies in their span: then so does
+    every bracket the pair rule asks for (`_ModEchelon.exact_rank`).
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose

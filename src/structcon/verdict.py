@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, graphs
-from .algebra import AlgebraKind, Family, LieClosure, _integral, record
+from .algebra import AlgebraKind, Family, LieClosure, _integral, _ModEchelon, record
 from .errors import KindMismatch
 from .patterns import (
     DEFAULT_POOL,
@@ -227,39 +227,29 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     """Sample drifts, close {drift} union controls, record dimensions.
 
     Deterministic per seed.  The control-set closure is computed once and
-    extended per trial, which changes nothing about the resulting span.
-    Every closure here uses `LieClosure`'s generator-adjoint pair rule: a
-    trial's drift is bracketed with the whole control-closure basis, and each
-    vector inserted after it with the controls and the drift only.  Trials
-    report dimensions alone, so the order of insertion does not show.
+    copied per trial; every closure uses `LieClosure`'s generator-adjoint
+    pair rule, and trials report dimensions alone.  Every sampled drift lies
+    in span{A_1..A_m} of the drift bases, so every trial closes inside the
+    relaxed closure L(A_1..A_m, U), and later trials stop once their rank
+    reaches its dimension R: a span of rank R inside an R-dimensional Lie
+    algebra is that algebra.  R is the first trial's rank if that is full;
+    otherwise its state is extended with the drift bases and run on.  A
+    trial's closure depends only on its drift's ray, the primitive integer
+    vector, so each distinct ray is closed once per call: a one-base drift
+    costs one closure for any number of trials.
 
-    Every sampled drift lies in span{A_1..A_m} of the drift bases, so every
-    trial closes inside the relaxed closure L(A_1..A_m, U) of the drift
-    bases and the controls U, and later trials stop as soon as their rank
-    reaches its dimension R.  This is exact: a span of rank R inside an
-    R-dimensional Lie algebra is that algebra.  R is read off the first
-    trial: if it is full, R is the algebra's dimension and nothing more is
-    computed; otherwise its closed state is extended with the drift bases
-    and run on.
-
-    A trial's closure depends only on its drift's ray, the primitive integer
-    vector of the drift (the same span generates the same subalgebra), so
-    each distinct ray is closed once per call and a trial whose ray an
-    earlier trial closed reuses that dimension.  Every trial still draws its
-    own sample; on a one-base drift every sample has the same ray, and
-    `trials=10000` costs one closure.
-
-    The first trial closure whose rank is the bound R, and which holds only
-    the control closure, its own ray and their brackets, gives the template
-    words: the parent pairs of the vectors it inserted after its ray (the
-    first trial's, unless the drift bases grew it).  A later ray that joins
-    the control closure's span replays them first (`LieClosure.replay`):
-    they are pushed in order while each raises the rank, and only seed the
-    trial's frontier.  Every trial then `run`s under the bound, and its
-    dimension is always read off that run, at the bound or at the fixpoint.
-    A replay that reaches R leaves `run` nothing to do; one that stops short
-    leaves its vectors for `run` to finish from.  So `achieved_full` stays
-    exact.
+    The first trial closure of rank R that holds only the control closure,
+    its own ray and their brackets gives the template words: the parent
+    pairs of the vectors it inserted after its ray.  Each later ray replays
+    them (`LieClosure.replay`) while each raises the rank, then `run`s
+    under R, on a copy of the control closure that decides ranks mod p
+    (`algebra._ModEchelon`); the brackets, in order, are those of exact
+    decisions.  Rank mod p is at most the rank over Q, so reaching R mod p
+    proves dimension R.  A trial below R kept every bracket it called
+    dependent; if each lies in the exact span of its vectors and the
+    control closure, so does every bracket the pair rule asks for, and that
+    span's rank is the dimension.  Otherwise the trial runs again exactly.
+    So every dimension, and `achieved_full`, is exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -274,17 +264,14 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
     words: list[tuple[int, int]] | None = None  # the template's bracket words past its ray
     closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
+    modular: LieClosure | None = None  # the control closure deciding ranks mod p
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
         ray = _integral(drift.to_vector())
         key = frozenset(ray.items())
-        if key not in closed:
-            state = base.copy()
-            state.add_ray(ray)
-            if words is not None and len(state.spanning) > start:
-                state.replay(words)
-            state.run(relaxed)
+        if key not in closed and words is None:
+            state = _close(base, ray, None, relaxed)
             closed[key] = state.rank
             if relaxed is None:
                 if state.rank < target:
@@ -292,10 +279,27 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
                     state.run()
                 relaxed = state.rank
             # the words of a state the drift bases grew need those bases
-            if words is None and closed[key] == relaxed:
+            if closed[key] == relaxed:
                 words = state.parents[start + 1:]
+        elif key not in closed:
+            if modular is None:
+                modular = base.copy()
+                modular.ech = _ModEchelon(base.ech)
+            state = _close(modular, ray, words, relaxed)
+            rank = state.rank if state.rank == relaxed else state.ech.exact_rank(state.spanning[start:])
+            closed[key] = _close(base, ray, words, relaxed).rank if rank is None else rank
         dims.append(closed[key])
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
+
+
+def _close(base: LieClosure, ray: dict[int, int], words: list | None, bound: int | None) -> LieClosure:
+    """A copy of the control closure with the ray, its replayed words and a run."""
+    state = base.copy()
+    state.add_ray(ray)
+    if words and len(state.spanning) > len(base.spanning):
+        state.replay(words)
+    state.run(bound)
+    return state
 
 
 def _contradicts(verdict: Verdict, orc: OracleReport) -> bool:

@@ -10,10 +10,12 @@ from structcon.algebra import (
     AlgebraElement,
     BasisElement,
     Cq,
+    _ADMITTED,
     _Echelon,
     _integral,
     _pair_bracket,
     _Rules,
+    _stored,
     bracket,
     bracket_via_matrices,
     canonical_basis,
@@ -74,6 +76,17 @@ def test_dimension_counts_the_canonical_basis(make):
     assert [str(b) for b in canonical_basis(su(3))] == [
         "B12", "B13", "B23", "C12", "C13", "C23", "D12", "D13"]
     assert [str(b) for b in canonical_basis(gl(2))] == ["E11", "E12", "E21", "E22"]
+
+
+@pytest.mark.parametrize("make", (so, gl, su))
+def test_canonical_basis_equals_the_filtered_candidates(make):
+    # each tag's range is generated directly; it must be the 3n^2 candidates
+    # X_ij filtered by `_stored`, in the same order
+    for n in range(2, 8):
+        kind = make(n)
+        assert canonical_basis(kind) == tuple(
+            BasisElement(t, i, j) for t in _ADMITTED[kind.family]
+            for i in range(1, n + 1) for j in range(1, n + 1) if _stored(t, i, j))
 
 
 def test_algebra_size_is_bounded():

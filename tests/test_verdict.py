@@ -439,6 +439,60 @@ def test_oracle_exact_under_shuffled_template_words(pair, seed):
     assert got == _reference_dimensions(pair, 8, seed)
 
 
+@pytest.mark.parametrize("prime", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 50))
+def test_oracle_exact_under_a_tiny_prime(prime, pair, seed):
+    # mod 2 or 3 many independent brackets look dependent: a later trial
+    # below the bound is then confirmed exactly, or runs again exactly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_P", prime)
+        got = oracle(pair, trials=4, seed=seed).dimensions
+    assert got == _reference_dimensions(pair, 4, seed)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_oracle_falls_back_to_the_exact_trial_under_a_tiny_prime(prime, monkeypatch):
+    monkeypatch.setattr(algebra, "_P", prime)
+    confirmed = []
+    exact_rank = algebra._ModEchelon.exact_rank
+
+    def logged(self, vectors):
+        confirmed.append(exact_rank(self, vectors))
+        return confirmed[-1]
+
+    monkeypatch.setattr(algebra._ModEchelon, "exact_rank", logged)
+    for name in _ORACLE_BRACKETS:
+        p = load_pair(name)
+        assert oracle(p, trials=8, seed=0).dimensions == _reference_dimensions(p, 8, 0), name
+    assert None in confirmed
+
+
+def test_oracle_later_trials_make_no_exact_insert(monkeypatch):
+    # dense su(6): every B_ij its own drift base, control C12.  Each of the
+    # 4 trials has its own ray and reaches full su(6) mod p; the brackets
+    # are those of the exact path, in the same order
+    kind = su(6)
+    p = pattern(kind, [[("B", i, j, 1)] for i, j in combinations(range(1, 7), 2)], [("C", 1, 2)])
+    inserts = []
+    insert = algebra._Echelon.insert
+    monkeypatch.setattr(algebra._Echelon, "insert", lambda self, vec: inserts.append(1) or insert(self, vec))
+    log = bracket_log(monkeypatch)
+    oracle(p, trials=1, seed=0)
+    first = len(inserts)
+    inserts.clear()
+    log.clear()
+    assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
+    assert len(inserts) == first
+    modular = [(x, y) for x, y, _ in log]
+    # today's exact path: the same brackets, and exact inserts in every trial
+    log.clear()
+    inserts.clear()
+    monkeypatch.setattr(verdict_module, "_ModEchelon", algebra._Echelon.copy)
+    assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
+    assert len(inserts) > first and [(x, y) for x, y, _ in log] == modular
+
+
 def test_oracle_runs_on_from_a_replay_that_falls_short(monkeypatch):
     # found by a seeded scan over random pairs: so(4) is reached by every
     # trial, but one later ray's replay of the first trial's words meets a
