@@ -631,8 +631,8 @@ class _ModEchelon:
     entry p divides is left out).  Integer vectors of a Lie algebra L over Q
     have rank mod p at most their rank over Q, as reduction commutes with
     the integer structure constants: reaching dim L proves it.  A vector
-    called dependent here may not be over Q, so `dependent` keeps each one
-    for `exact_rank`.
+    called dependent here may be independent over Q, so `dependent` keeps
+    each one for `exact_rank`.
     """
 
     __slots__ = ("exact", "rows", "dependent")
