@@ -585,10 +585,12 @@ class _Echelon:
     def contains(self, vec: dict[int, int]) -> bool:
         return not self.reduce(vec)
 
-    def insert(self, vec: dict[int, int]) -> bool:
+    def insert(self, vec: dict[int, int]) -> int:
+        """Add vec to the span: the new row's pivot entry if vec raised the
+        rank, else 0."""
         red = self.reduce(vec)
         if not red:
-            return False
+            return 0
         red = _primitive(red)
         p = min(red)
         for q, row in self.rows.items():
@@ -597,7 +599,7 @@ class _Echelon:
                 _eliminate(new, p, red)
                 self.rows[q] = _primitive(new)
         self.rows[p] = red
-        return True
+        return red[p]
 
     def ordered_rows(self) -> list[dict[int, Fraction]]:
         """The RREF rows in pivot order, pivot entry 1."""
@@ -627,12 +629,12 @@ def _monic(row: dict[int, int], p: int) -> dict[int, int]:
 
 class _ModEchelon:
     """`_Echelon`'s `insert`, `rank` and `copy` mod the prime `_P`, seeded
-    with an exact echelon's rows mod p (each stays reduced; one whose pivot
-    entry p divides is left out).  Integer vectors of a Lie algebra L over Q
-    have rank mod p at most their rank over Q, as reduction commutes with
-    the integer structure constants: reaching dim L proves it.  A vector
-    called dependent here may be independent over Q, so `dependent` keeps
-    each one for `exact_rank`.
+    with the exact echelon a `LieClosure` held when its rows outgrew p (its
+    rows mod p; each stays reduced; one whose pivot entry p divides is left
+    out).  Integer vectors of a Lie algebra L over Q have rank mod p at most
+    their rank over Q, as reduction commutes with the integer structure
+    constants: reaching dim L proves it.  A vector called dependent here may
+    be independent over Q, so `dependent` keeps each one for `exact_rank`.
     """
 
     __slots__ = ("exact", "rows", "dependent")
@@ -670,12 +672,16 @@ class _ModEchelon:
         return True
 
     def exact_rank(self, vectors: Iterable[dict[int, int]]) -> int | None:
-        """The rank over Q of the exact seed rows' span with `vectors` added,
-        if that span holds every vector called dependent here; else None."""
+        """The rank over Q of the seed's span with `vectors` added, if that
+        span holds every vector called dependent here; else None.  On
+        success that span's echelon becomes `exact`."""
         ech = self.exact.copy()
         for vec in vectors:
             ech.insert(vec)
-        return ech.rank if all(map(ech.contains, self.dependent)) else None
+        if not all(map(ech.contains, self.dependent)):
+            return None
+        self.exact = ech
+        return ech.rank
 
 
 class SpanBasis(record("SpanBasis", "kind rows")):
@@ -734,11 +740,20 @@ class LieClosure:
     the positions (left, right) of the bracket it is the primitive of, as
     evaluated.  `replay` pushes such words, recorded by another state, in
     front of a `run`: each lies in the closure and only seeds the frontier.
-    `ech` may be a `_ModEchelon`, deciding ranks mod p on the same vectors,
-    brackets and order.  Its rank is then a lower bound, exact once it meets
-    the `bound`.  Below it, the pushed vectors' exact rank is the closure's
-    if every bracket called dependent lies in their span: then so does
-    every bracket the pair rule asks for (`_ModEchelon.exact_rank`).
+
+    A closure given a `bound` (an oracle trial) switches to rank decisions
+    mod p once its exact rows outgrow p: at the first insert, by `add_ray`,
+    `replay` or `run`, whose new echelon row has a pivot entry above `_P`,
+    `ech` becomes a `_ModEchelon` seeded with the exact echelon.  The
+    vectors, brackets and order stay those of exact decisions.  Two
+    certificates, counted from the switch, keep the dimension exact: a rank
+    mod p that reaches the bound proves it, since rank mod p is at most the
+    rank over Q.  Below the bound, the exact echelon at the switch plus the
+    vectors pushed since span the closure if they hold every vector called
+    dependent since: then so does every bracket the pair rule asks for, and
+    their exact rank is the dimension (`_ModEchelon.exact_rank`).  Without
+    a bound (`lie_closure`, and the oracle's control and relaxed closures)
+    every decision is exact.
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
@@ -764,6 +779,9 @@ class LieClosure:
         # past len(reach) have had no turn yet and form the frontier
         self.reach: list[int] = []
         self.steps = 0
+        # the dimension of a Lie algebra the caller vouches holds the
+        # closure: `run` stops there, and it lets the closure switch mod p
+        self.bound: int | None = None
 
     def copy(self) -> "LieClosure":
         new = object.__new__(LieClosure)
@@ -777,6 +795,7 @@ class LieClosure:
         new.parents = list(self.parents)
         new.reach = list(self.reach)
         new.steps = self.steps
+        new.bound = self.bound
         return new
 
     @property
@@ -804,14 +823,18 @@ class LieClosure:
         """Add a generator given as its primitive integer vector (`_integral`
         of its coordinates); one in the span already, zero included, adds
         nothing."""
-        if self.ech.insert(vec):
+        if a := self.ech.insert(vec):
             self._push(vec)
+            if a > _P and self.bound is not None:
+                self.ech = _ModEchelon(self.ech)
 
     def run(self, bound: int | None = None) -> None:
         """Sweep until the span stabilizes, fills the algebra or reaches
-        `bound` (default: the algebra's dimension), which the caller
-        vouches is the dimension of a Lie algebra holding every generator."""
-        bound = self.kind.dimension if bound is None else bound
+        `bound` (default: the closure's `bound`, else the algebra's
+        dimension), which the caller vouches is the dimension of a Lie
+        algebra holding every generator."""
+        if bound is None:
+            bound = self.kind.dimension if self.bound is None else self.bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
         parents, rules, sweep = self.parents, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
@@ -831,10 +854,12 @@ class LieClosure:
                             z = _bracket_vec(x, spanning[iy], rules)
                         else:
                             z = _bracket_vec(spanning[iy], x, rules)
-                        if z and ech.insert(z):
+                        if z and (a := ech.insert(z)):
                             self._push(_primitive(z), (ix, iy) if x_gen else (iy, ix))
                             if ech.rank == bound:
                                 break
+                            if a > _P and self.bound is not None:
+                                self.ech = ech = _ModEchelon(ech)
                 if ech.rank == bound:
                     break
             if len(spanning) > end:
@@ -848,9 +873,11 @@ class LieClosure:
         spanning, rules, ech = self.spanning, self.rules, self.ech
         for left, right in words:
             z = _bracket_vec(spanning[left], spanning[right], rules)
-            if not (z and ech.insert(z)):
+            if not (z and (a := ech.insert(z))):
                 return
             self._push(_primitive(z), (left, right))
+            if a > _P and self.bound is not None:
+                self.ech = ech = _ModEchelon(ech)
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())

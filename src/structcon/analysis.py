@@ -18,23 +18,29 @@ OddRedWitness = tuple[tuple[int, int, Color], ...]
 _G = TypeVar("_G", Digraph, ColoredMultigraph)
 
 
-def _joining_pairs(g: UndirectedGraph | ColoredMultigraph) -> set[tuple[int, int]]:
-    if isinstance(g, UndirectedGraph):
-        return set(g.edges)
-    # green self-loops join nothing
-    return {(i, j) for i, j, c in g.edges if i != j}
+def _adjacency(g: UndirectedGraph | ColoredMultigraph) -> dict[int, set[int]]:
+    """Neighbours of each node that an edge joins to another; a node without
+    such an edge has no entry."""
+    edges = g.edges if isinstance(g, UndirectedGraph) else [(i, j) for i, j, _ in g.edges]
+    adj: dict[int, set[int]] = {}
+    for i, j in edges:
+        if i != j:  # green self-loops join nothing
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+    return adj
 
 
 def components(g: UndirectedGraph | ColoredMultigraph) -> list[frozenset[int]]:
-    """Partition of 1..n by reachability; isolated nodes are singletons."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for i, j in _joining_pairs(g):
-        adj[i].add(j)
-        adj[j].add(i)
+    """Partition of 1..n by reachability, in order of least node.  A node
+    without an edge is a singleton, found without a walk, so only the nodes
+    that carry edges are walked."""
+    adj = _adjacency(g)
     seen: set[int] = set()
     out: list[frozenset[int]] = []
     for root in range(1, g.n + 1):
-        if root not in seen:
+        if root not in adj:
+            out.append(frozenset((root,)))
+        elif root not in seen:
             comp = _reachable(adj, root)
             seen |= comp
             out.append(frozenset(comp))
@@ -42,7 +48,12 @@ def components(g: UndirectedGraph | ColoredMultigraph) -> list[frozenset[int]]:
 
 
 def is_connected(g: UndirectedGraph | ColoredMultigraph) -> bool:
-    return len(components(g)) == 1
+    """One component: a single node, or every node on an edge and all of them
+    reached from node 1."""
+    if g.n == 1:
+        return True
+    adj = _adjacency(g)
+    return len(adj) == g.n and len(_reachable(adj, 1)) == g.n
 
 
 def _reachable(adj: dict[int, set[int]], start: int) -> set[int]:
@@ -96,16 +107,17 @@ def has_odd_red_cycle(g: ColoredMultigraph) -> tuple[bool, OddRedWitness | None]
     Green self-loops are ignored.  When found, returns a witness cycle as an
     edge sequence whose red count is odd.
     """
-    adj: dict[int, list[tuple[int, Color]]] = {v: [] for v in range(1, g.n + 1)}
+    # only nodes on a blue or red edge have an entry: the others hold no cycle
+    adj: dict[int, list[tuple[int, Color]]] = {}
     for i, j, c in sorted(g.edges, key=lambda e: (e[0], e[1], e[2].value)):
         if c is Color.GREEN:
             continue
-        adj[i].append((j, c))
-        adj[j].append((i, c))
+        adj.setdefault(i, []).append((j, c))
+        adj.setdefault(j, []).append((i, c))
 
     potential: dict[int, int] = {}
     parent: dict[int, tuple[int, Color] | None] = {}
-    for root in range(1, g.n + 1):
+    for root in sorted(adj):
         if root in potential:
             continue
         potential[root] = 0

@@ -241,15 +241,21 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     The first trial closure of rank R that holds only the control closure,
     its own ray and their brackets gives the template words: the parent
     pairs of the vectors it inserted after its ray.  Each later ray replays
-    them (`LieClosure.replay`) while each raises the rank, then `run`s
-    under R, on a copy of the control closure that decides ranks mod p
-    (`algebra._ModEchelon`); the brackets, in order, are those of exact
-    decisions.  Rank mod p is at most the rank over Q, so reaching R mod p
-    proves dimension R.  A trial below R kept every bracket it called
-    dependent; if each lies in the exact span of its vectors and the
-    control closure, so does every bracket the pair rule asks for, and that
-    span's rank is the dimension.  Otherwise the trial runs again exactly.
-    So every dimension, and `achieved_full`, is exact.
+    them (`LieClosure.replay`) while each raises the rank, then `run`s.
+
+    Every trial takes one path: a copy of the control closure, its ray, the
+    template words if there are any, and a run under its bound, the
+    algebra's dimension for the first trial and R after it.  Given that
+    bound, the trial decides ranks mod p from its first exact row whose
+    pivot entry outgrows p (`algebra._ModEchelon`); the brackets, in order,
+    are those of exact decisions.  Rank mod p is at most the rank over Q,
+    so reaching the bound mod p proves it.  A trial below the bound kept
+    every bracket it called dependent since the switch; if each lies in the
+    exact span of the echelon at the switch and the vectors pushed since,
+    so does every bracket the pair rule asks for, and that span's rank is
+    the dimension.  Otherwise the trial runs again exactly.  A first trial
+    below full takes that exact echelon back before the drift bases grow
+    it.  So every dimension, R and `achieved_full` are exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -264,41 +270,45 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     relaxed: int | None = None  # dim L(A_1..A_m, U), set by the first trial
     words: list[tuple[int, int]] | None = None  # the template's bracket words past its ray
     closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
-    modular: LieClosure | None = None  # the control closure deciding ranks mod p
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
         ray = _integral(drift.to_vector())
         key = frozenset(ray.items())
-        if key not in closed and words is None:
-            state = _close(base, ray, None, relaxed)
+        if key not in closed:
+            bound = target if relaxed is None else relaxed
+            state = _close(base, ray, words, bound)
+            ech = state.ech
+            if state.rank < bound and isinstance(ech, _ModEchelon):
+                # the exact echelon at the switch has one row per vector pushed before it
+                if ech.exact_rank(state.spanning[ech.exact.rank:]) is None:
+                    state = _close(base, ray, words, None)
+                else:
+                    state.ech = ech.exact
             closed[key] = state.rank
             if relaxed is None:
                 if state.rank < target:
+                    state.bound = None
                     state.add_generators(pair.drift.bases)
                     state.run()
                 relaxed = state.rank
             # the words of a state the drift bases grew need those bases
-            if closed[key] == relaxed:
+            if words is None and closed[key] == relaxed:
                 words = state.parents[start + 1:]
-        elif key not in closed:
-            if modular is None:
-                modular = base.copy()
-                modular.ech = _ModEchelon(base.ech)
-            state = _close(modular, ray, words, relaxed)
-            rank = state.rank if state.rank == relaxed else state.ech.exact_rank(state.spanning[start:])
-            closed[key] = _close(base, ray, words, relaxed).rank if rank is None else rank
         dims.append(closed[key])
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
 
 
-def _close(base: LieClosure, ray: dict[int, int], words: list | None, bound: int | None) -> LieClosure:
-    """A copy of the control closure with the ray, its replayed words and a run."""
+def _close(base: LieClosure, ray: dict[int, int], words: list | None,
+           bound: int | None) -> LieClosure:
+    """A copy of the control closure with the ray, its replayed words and a
+    run under `bound`; given one, the copy may switch to ranks mod p."""
     state = base.copy()
+    state.bound = bound
     state.add_ray(ray)
     if words and len(state.spanning) > len(base.spanning):
         state.replay(words)
-    state.run(bound)
+    state.run()
     return state
 
 

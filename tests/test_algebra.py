@@ -502,8 +502,12 @@ def test_echelon_matches_dense_span(data):
         return [v.get(k, Q(0)) for k in range(dim)]
 
     for v in vecs:
-        assert ech.insert(_integral(v)) == ref.insert(dense(v))
+        pivots = set(ech.rows)
+        # insert gives the new row's pivot entry, or 0 for a vector in the span
+        entry = ech.insert(_integral(v))
+        assert bool(entry) == ref.insert(dense(v))
         assert ech.rank == ref.rank
+        assert [ech.rows[p][p] for p in set(ech.rows) - pivots] == ([entry] if entry else [])
     for v in probes:
         assert ech.contains(_integral(v)) == ref.contains(dense(v))
     assert ech.contains(_integral(probes[1]))

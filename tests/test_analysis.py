@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from structcon import analysis
+from structcon.algebra import AlgebraElement, BasisElement, su
 from structcon.analysis import (
     circumjacent_digraph,
     circumjacent_undirected,
@@ -29,6 +31,8 @@ from structcon.graphs import (
     drift_graph,
     union,
 )
+from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
+from structcon.verdict import Verdict, check
 
 from helpers import brute_odd_red_cycle, witness_is_odd_red_cycle
 
@@ -52,6 +56,56 @@ def test_is_connected():
     assert is_connected(UndirectedGraph.of(1, []))
     assert not is_connected(UndirectedGraph.of(2, []))
     assert is_connected(UndirectedGraph.of(3, [(1, 2), (2, 3)]))
+
+
+def _brute_partition(n, pairs):
+    """Merge the node sets that a pair joins until none does; blocks in
+    order of least node."""
+    blocks = [{v} for v in range(1, n + 1)]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in pairs:
+            bi = next(b for b in blocks if i in b)
+            bj = next(b for b in blocks if j in b)
+            if bi is not bj:
+                bi |= bj
+                blocks.remove(bj)
+                merged = True
+    return sorted(map(frozenset, blocks), key=min)
+
+
+def test_components_match_a_brute_partition_on_random_graphs():
+    rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
+        plain = UndirectedGraph.of(n, [(i, j) for i, j in pairs if i != j])
+        arcs = Digraph.of(n, pairs)
+        colored = _random_multigraph(rng, n, 6)
+        for g, joins, got in (
+            (plain, plain.edges, components(plain)),
+            (arcs, arcs.arcs, weak_components(arcs)),
+            (colored, [(i, j) for i, j, _ in colored.edges], components(colored)),
+        ):
+            assert got == _brute_partition(n, joins), g
+            if not isinstance(g, Digraph):
+                assert is_connected(g) == (len(got) == 1)
+
+
+def test_check_walks_only_the_nodes_on_edges(monkeypatch):
+    # two edges in su(10^5): every other node is a singleton component,
+    # found without a walk, so at most the two nodes on edges start one
+    kind = su(10**5)
+    pair = ZeroPatternPair(DriftPattern(kind, (AlgebraElement.basis(kind, "B", 1, 2),)),
+                           ControlPattern(kind, (BasisElement("C", 1, 2),)))
+    walks, reachable = [], analysis._reachable
+    monkeypatch.setattr(analysis, "_reachable", lambda adj, start: walks.append(start) or reachable(adj, start))
+    report = check(pair)
+    assert report.verdict is Verdict.NECESSARY_FAILED_NO
+    assert 1 <= len(walks) <= 2
+    comps = components(contr_graph(pair.control))
+    assert len(comps) == 10**5 - 1 and comps[0] == frozenset({1, 2})
 
 
 def test_strong_connectivity_golden(gl4_loop_pair):

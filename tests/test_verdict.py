@@ -468,29 +468,126 @@ def test_oracle_falls_back_to_the_exact_trial_under_a_tiny_prime(prime, monkeypa
     assert None in confirmed
 
 
-def test_oracle_later_trials_make_no_exact_insert(monkeypatch):
-    # dense su(6): every B_ij its own drift base, control C12.  Each of the
-    # 4 trials has its own ray and reaches full su(6) mod p; the brackets
-    # are those of the exact path, in the same order
-    kind = su(6)
-    p = pattern(kind, [[("B", i, j, 1)] for i, j in combinations(range(1, 7), 2)], [("C", 1, 2)])
-    inserts = []
-    insert = algebra._Echelon.insert
-    monkeypatch.setattr(algebra._Echelon, "insert", lambda self, vec: inserts.append(1) or insert(self, vec))
+def _dense_su6():
+    # dense su(6): every B_ij its own drift base, control C12
+    return pattern(su(6), [[("B", i, j, 1)] for i, j in combinations(range(1, 7), 2)],
+                   [("C", 1, 2)])
+
+
+def test_oracle_trials_switch_once_their_rows_outgrow_p(monkeypatch):
+    # each of the 4 trials has its own ray; each makes exact decisions
+    # until a new echelon row's pivot entry passes p, then decides mod p and
+    # reaches full su(6) there.  The brackets are those of the exact path,
+    # in the same order
+    p = _dense_su6()
+    events = []
+    insert, copy = algebra._Echelon.insert, LieClosure.copy
+
+    class Logged(algebra._ModEchelon):
+        __slots__ = ()
+
+        def __init__(self, exact):
+            events.append("switch")
+            super().__init__(exact)
+
+    monkeypatch.setattr(algebra._Echelon, "insert",
+                        lambda self, vec: events.append("insert") or insert(self, vec))
+    monkeypatch.setattr(LieClosure, "copy", lambda self: events.append("copy") or copy(self))
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "_ModEchelon", Logged)
+        log = bracket_log(mp)
+        assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
+        switched = [(x, y) for x, y, _ in log]
+    control, *trials = " ".join(events).split("copy")
+    assert "switch" not in control and len(trials) == 4
+    for trial in trials:
+        exact, _, modular = trial.partition("switch")
+        assert "insert" in exact and modular.split() == []
+    # the all-exact path: each switch only copies the exact echelon
+    monkeypatch.setattr(algebra, "_ModEchelon", algebra._Echelon.copy)
     log = bracket_log(monkeypatch)
-    oracle(p, trials=1, seed=0)
-    first = len(inserts)
-    inserts.clear()
-    log.clear()
     assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
-    assert len(inserts) == first
-    modular = [(x, y) for x, y, _ in log]
-    # today's exact path: the same brackets, and exact inserts in every trial
-    log.clear()
-    inserts.clear()
-    monkeypatch.setattr(verdict_module, "_ModEchelon", algebra._Echelon.copy)
-    assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
-    assert len(inserts) > first and [(x, y) for x, y, _ in log] == modular
+    assert [(x, y) for x, y, _ in log] == switched
+
+
+# found by a seeded scan over random pairs: the first trial's rows outgrow
+# p, and it ends at 16 of su(6); the relaxed closure has dimension 19
+_SWITCHED_BELOW_FULL = pattern(
+    su(6), [[("B", 1, 3, -3), ("D", 1, 3, -3), ("D", 1, 4, 6), ("D", 1, 6, -3)],
+            [("B", 4, 5, -3), ("C", 4, 6, -1), ("C", 5, 6, 4)],
+            [("C", 4, 6, 4), ("D", 1, 3, -4), ("D", 1, 5, 4)]],
+    [("C", 2, 6), ("D", 2, 6)])
+
+
+def test_oracle_confirms_a_switched_first_trial_below_full(monkeypatch):
+    p = _SWITCHED_BELOW_FULL
+    relaxed = lie_closure(list(p.drift.bases) + control_generators(p.control))[1]
+    assert relaxed == 19
+
+    def bounds(mp):
+        # the bound of each trial closure, and where its rank ends
+        calls, close = [], verdict_module._close
+
+        def logged(base, ray, words, bound):
+            state = close(base, ray, words, bound)
+            calls.append((bound, state.rank))
+            return state
+
+        mp.setattr(verdict_module, "_close", logged)
+        return calls
+
+    confirmed, exact_rank = [], algebra._ModEchelon.exact_rank
+    monkeypatch.setattr(algebra._ModEchelon, "exact_rank",
+                        lambda self, vectors: confirmed.append(exact_rank(self, vectors)) or confirmed[-1])
+    with monkeypatch.context() as mp:
+        calls = bounds(mp)
+        dims = oracle(p, trials=8, seed=0).dimensions
+    assert dims == _reference_dimensions(p, 8, 0) and dims[0] == 16
+    # the first trial switched, ended below full and was confirmed as it
+    # stood: no trial ran again exactly, and later trials ran under R
+    assert confirmed[0] == 16 and None not in confirmed
+    assert calls[0] == (35, 16) and {b for b, _ in calls[1:]} == {relaxed}
+    monkeypatch.setattr(algebra, "_ModEchelon", algebra._Echelon.copy)
+    with monkeypatch.context() as mp:
+        exact = bounds(mp)
+        assert oracle(p, trials=8, seed=0).dimensions == dims
+    assert exact == calls
+
+
+@pytest.mark.parametrize("pair", [_dense_su6(), _SWITCHED_BELOW_FULL], ids=["dense-su6", "below-full"])
+def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
+    # only a trial closure, given its bound, switches: the control closure
+    # and the relaxed closure decide every rank exactly
+    states, add_generators = [], LieClosure.add_generators
+
+    def logged(self, elements):
+        states.append(self)
+        assert type(self.ech) is algebra._Echelon
+        add_generators(self, elements)
+
+    monkeypatch.setattr(LieClosure, "add_generators", logged)
+    oracle(pair, trials=8, seed=0)
+    # the control closure, and the relaxed closure of a first trial below full
+    assert len(states) == (2 if pair is _SWITCHED_BELOW_FULL else 1)
+    assert all(type(s.ech) is algebra._Echelon for s in states)
+
+
+def test_lie_closure_stays_exact_past_p(monkeypatch):
+    # the first dense su(6) trial's closure, as `structcon closure` computes
+    # it: its rows outgrow p, and it still ends on the exact echelon
+    pair = _dense_su6()
+    states, entries = [], []
+    basis, insert = LieClosure.basis, algebra._Echelon.insert
+    monkeypatch.setattr(LieClosure, "basis", lambda self: states.append(self) or basis(self))
+    monkeypatch.setattr(algebra._Echelon, "insert",
+                        lambda self, vec: entries.append(insert(self, vec)) or entries[-1])
+    generators = [sample_drift(pair.drift, DEFAULT_POOL, 0), *control_generators(pair.control)]
+    span, dim, _ = lie_closure(generators)
+    assert dim == 35 and max(entries) > algebra._P
+    assert [type(s.ech) for s in states] == [algebra._Echelon]
+    # full su(6): the RREF rows are the canonical basis, in order
+    assert span.rows == tuple(AlgebraElement.build(pair.kind, [(b, 1)])
+                              for b in canonical_basis(pair.kind))
 
 
 def test_oracle_runs_on_from_a_replay_that_falls_short(monkeypatch):
