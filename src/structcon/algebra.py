@@ -628,13 +628,16 @@ def _monic(row: dict[int, int], p: int) -> dict[int, int]:
 
 
 class _ModEchelon:
-    """`_Echelon`'s `insert`, `rank` and `copy` mod the prime `_P`, seeded
-    with the exact echelon a `LieClosure` held when its rows outgrew p (its
-    rows mod p; each stays reduced; one whose pivot entry p divides is left
-    out).  Integer vectors of a Lie algebra L over Q have rank mod p at most
-    their rank over Q, as reduction commutes with the integer structure
-    constants: reaching dim L proves it.  A vector called dependent here may
-    be independent over Q, so `dependent` keeps each one for `exact_rank`.
+    """`_Echelon`'s `insert` and `rank` mod the prime `_P`, for a trial
+    `LieClosure` whose exact rows outgrew p, which is not copied after:
+    seeded with the exact echelon it held at that switch, as rows mod p
+    (each stays reduced; one whose pivot entry p divides is left out).
+    Integer vectors of a Lie algebra L over Q have rank mod p at most their
+    rank over Q, as reduction commutes with the integer structure
+    constants, so a rank here that reaches dim L proves it.  A vector called
+    dependent here may be independent over Q: `dependent` keeps each one
+    since the switch, and `exact_rank` confirms a lower rank against the
+    exact echelon at the switch plus the vectors pushed since.
     """
 
     __slots__ = ("exact", "rows", "dependent")
@@ -643,11 +646,6 @@ class _ModEchelon:
         self.exact = exact
         self.rows = {q: _monic(row, q) for q, row in exact.rows.items() if row[q] % _P}
         self.dependent: list[dict[int, int]] = []
-
-    def copy(self) -> "_ModEchelon":
-        new = object.__new__(_ModEchelon)
-        new.exact, new.rows, new.dependent = self.exact, dict(self.rows), list(self.dependent)
-        return new
 
     @property
     def rank(self) -> int:

@@ -557,12 +557,12 @@ def test_oracle_confirms_a_switched_first_trial_below_full(monkeypatch):
 @pytest.mark.parametrize("pair", [_dense_su6(), _SWITCHED_BELOW_FULL], ids=["dense-su6", "below-full"])
 def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
     # only a trial closure, given its bound, switches: the control closure
-    # and the relaxed closure decide every rank exactly
+    # and the relaxed closure start exact, without a bound, and end exact
     states, add_generators = [], LieClosure.add_generators
 
     def logged(self, elements):
         states.append(self)
-        assert type(self.ech) is algebra._Echelon
+        assert type(self.ech) is algebra._Echelon and self.bound is None
         add_generators(self, elements)
 
     monkeypatch.setattr(LieClosure, "add_generators", logged)
