@@ -14,7 +14,8 @@ the structure constants, which are derived from the one matrix-unit rule
 E_pq E_rs = d_qr E_ps, and by multiplying exact complex-rational matrices,
 the independent check.  The structure constants are built per basis element
 on first use and applied by one vector routine, which both `bracket` and
-`LieClosure` call.
+`LieClosure` call; a closure keeps the adjoint columns of its many-term left
+operands for that routine.
 
 X_ij has coordinate (t*N + i)*N + j, where N = n + 1 and t is X's place in
 "BCDE": sparse, but ordered as the canonical basis, so pivots and signs are
@@ -478,26 +479,49 @@ def _rules(kind: AlgebraKind) -> _Rules:
     return _Rules(kind)
 
 
+_Column = tuple[tuple[int, int | Fraction], ...]
+
+
 def _bracket_vec(x: dict[int, int | Fraction], y: dict[int, int | Fraction],
-                 rules: _Rules) -> dict[int, int | Fraction]:
+                 rules: _Rules, cols: dict[int, _Column]) -> dict[int, int | Fraction]:
     """[x, y] on coordinate vectors: the one bracket routine of the package.
 
-    Each x coordinate meets y on the shared support of its rule row and y;
-    the interpreter builds that key-view intersection by iterating the
-    smaller side.  The structure constants are `int`s, so `int` vectors
-    give an `int` result and `Fraction` vectors a `Fraction` one.  Rows are
-    read from the table, and built only the first time one is missing.
+    [x, y] = sum over b of y_b times column b of ad_x, which is the sum over
+    a of x_a times rule row a at b.  `cols` caches x's columns: the caller
+    keeps one dict per left operand and passes it with every bracket that
+    operand takes, and a column is filled the first time a y coordinate
+    asks for it.  A column keeps the zeros its sum cancels to, which the
+    result drops.  A column depends only on x, so the cache stays valid as
+    long as x is unchanged.  A one-term x needs no
+    cache: its columns are its rule row, scaled, and y meets that row on
+    their shared support (a key-view intersection, which the interpreter
+    builds by iterating the smaller side).  The structure constants are
+    `int`s, so `int` vectors give an `int` result and `Fraction` vectors a
+    `Fraction` one; the sums are the same exact sums either way, regrouped.
+    Rows are read from the table, and built only the first time one is
+    missing.
     """
     out: dict[int, int | Fraction] = {}
     get, rows = out.get, rules.rows
-    for ia, ca in x.items():
-        row = rows.get(ia)
-        if row is None:
-            row = rules.row(ia)
+    if len(x) == 1:
+        [(ia, ca)] = x.items()
+        row = rows.get(ia) or rules.row(ia)
         for ib in row.keys() & y.keys():
             c = ca * y[ib]
             for idx, coeff in row[ib]:
                 out[idx] = get(idx, 0) + c * coeff
+    else:
+        for ib, cb in y.items():
+            col = cols.get(ib)
+            if col is None:
+                acc: dict[int, int | Fraction] = {}
+                for ia, ca in x.items():
+                    if entry := (rows.get(ia) or rules.row(ia)).get(ib):
+                        for idx, coeff in entry:
+                            acc[idx] = acc.get(idx, 0) + ca * coeff
+                col = cols[ib] = tuple(acc.items())
+            for idx, coeff in col:
+                out[idx] = get(idx, 0) + cb * coeff
     return {idx: v for idx, v in out.items() if v}
 
 
@@ -505,7 +529,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure constants; result canonicalized."""
     if x.kind != y.kind:
         raise KindMismatch(f"cannot bracket {x.kind} with {y.kind}")
-    z = _bracket_vec(x.to_vector(), y.to_vector(), _rules(x.kind))
+    z = _bracket_vec(x.to_vector(), y.to_vector(), _rules(x.kind), {})
     return AlgebraElement.from_vector(x.kind, z)
 
 
@@ -734,6 +758,16 @@ class LieClosure:
     oracle uses to share the control-set closure across trials: the added
     drift's turn then meets that whole basis.
 
+    Each position keeps a cache of its vector's adjoint columns
+    (`_bracket_vec`), filled by the brackets that put it on the left: a
+    generator's in its own turn and in every later turn, so a many-term
+    drift ray builds each column once per closure, not once per bracket.
+    The sweep's other vectors are left operands in their own turn only, and
+    drop their columns after it.  `copy` shares the caches of the positions
+    it copies: a column is a function of the vector at its position, which
+    no copy changes.  Positions past the copy point start with none, so
+    trials whose rays sit at the same position never read each other's.
+
     Each pushed vector records its parent pair: None for a generator, else
     the positions (left, right) of the bracket it is the primitive of, as
     evaluated.  `replay` pushes such words, recorded by another state, in
@@ -773,6 +807,9 @@ class LieClosure:
         # of the bracket whose primitive is spanning[k]; a vector is bracketed
         # as a generator when it is one, or in the sweep case
         self.parents: list[tuple[int, int] | None] = []
+        # cols[k]: the adjoint columns of spanning[k] that brackets with it on
+        # the left have filled (`_bracket_vec`); a copy shares the dicts
+        self.cols: list[dict[int, _Column]] = []
         # reach[k]: len(spanning) when vector k's turn started; the vectors
         # past len(reach) have had no turn yet and form the frontier
         self.reach: list[int] = []
@@ -791,6 +828,7 @@ class LieClosure:
         new.masks = list(self.masks)
         new.generators = list(self.generators)
         new.parents = list(self.parents)
+        new.cols = list(self.cols)
         new.reach = list(self.reach)
         new.steps = self.steps
         new.bound = self.bound
@@ -810,6 +848,7 @@ class LieClosure:
         self.spanning.append(vec)
         self.masks.append(mask)
         self.parents.append(parents)
+        self.cols.append({})
 
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
         for e in elements:
@@ -834,7 +873,7 @@ class LieClosure:
         if bound is None:
             bound = self.kind.dimension if self.bound is None else self.bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
-        parents, rules, sweep = self.parents, self.rules, self.sweep
+        parents, cols, rules, sweep = self.parents, self.cols, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
         while len(reach) < len(spanning) and ech.rank < bound:
             end = len(spanning)
@@ -844,14 +883,16 @@ class LieClosure:
                 # a generator meets every vector present, any other vector
                 # the generators only, which are all present by now
                 x_gen = sweep or parents[ix] is None
+                # only a generator is a left operand after its own turn
+                cx = cols[ix] if parents[ix] is None else {}
                 for iy in range(stop) if x_gen else self.generators:
                     # an earlier y whose turn reached past ix already met x,
                     # so [x, y] = -[y, x] is in the span; x skips itself and those
                     if (iy > ix or reach[iy] <= ix) and mx & masks[iy]:
                         if x_gen:
-                            z = _bracket_vec(x, spanning[iy], rules)
+                            z = _bracket_vec(x, spanning[iy], rules, cx)
                         else:
-                            z = _bracket_vec(spanning[iy], x, rules)
+                            z = _bracket_vec(spanning[iy], x, rules, cols[iy])
                         if z and (a := ech.insert(z)):
                             self._push(_primitive(z), (ix, iy) if x_gen else (iy, ix))
                             if ech.rank == bound:
@@ -868,9 +909,9 @@ class LieClosure:
         vectors present, in order while each raises the rank; stop at the
         first zero or dependent word.  The pushed vectors have had no turn,
         so they stay in the frontier for `run`."""
-        spanning, rules, ech = self.spanning, self.rules, self.ech
+        spanning, cols, rules, ech = self.spanning, self.cols, self.rules, self.ech
         for left, right in words:
-            z = _bracket_vec(spanning[left], spanning[right], rules)
+            z = _bracket_vec(spanning[left], spanning[right], rules, cols[left])
             if not (z and (a := ech.insert(z))):
                 return
             self._push(_primitive(z), (left, right))

@@ -47,6 +47,22 @@ def components(g: UndirectedGraph | ColoredMultigraph) -> list[frozenset[int]]:
     return out
 
 
+def component_summary(g: UndirectedGraph | ColoredMultigraph) -> tuple[int, int]:
+    """(number of components, size of the smallest), in O(edges): a node
+    without an edge is counted as a singleton, and only the nodes that carry
+    edges are walked."""
+    adj = _adjacency(g)
+    singletons = g.n - len(adj)
+    seen: set[int] = set()
+    sizes = []
+    for root in adj:
+        if root not in seen:
+            comp = _reachable(adj, root)
+            seen |= comp
+            sizes.append(len(comp))
+    return singletons + len(sizes), 1 if singletons else min(sizes)
+
+
 def is_connected(g: UndirectedGraph | ColoredMultigraph) -> bool:
     """One component: a single node, or every node on an edge and all of them
     reached from node 1."""

@@ -79,7 +79,7 @@ def check_so(pair: ZeroPatternPair) -> Report:
     u = graphs.union(graphs.drift_graph(pair.drift), contr)
 
     union_connected = analysis.is_connected(u)
-    comps_ok = all(len(c) >= 3 for c in analysis.components(contr))
+    comps_ok = analysis.component_summary(contr)[1] >= 3
     conditions = (
         ConditionEval("union graph connected", union_connected,
                       "necessary condition over SO(n)"),
@@ -135,8 +135,8 @@ def check_su(pair: ZeroPatternPair) -> Report:
     contr = graphs.contr_graph(pair.control)
     u = graphs.union(drift, contr)
 
-    comps = analysis.components(contr)
-    contr_connected = len(comps) == 1
+    count, smallest = analysis.component_summary(contr)
+    contr_connected = count == 1
     odd_red, _ = analysis.has_odd_red_cycle(u)
     feature = bool(analysis.green_loops(u)) or odd_red
 
@@ -150,7 +150,7 @@ def check_su(pair: ZeroPatternPair) -> Report:
         return Report(verdict, conditions, None, False, "Theorem 4")
 
     union_connected = analysis.is_connected(u)
-    comps_ok = all(len(c) >= 3 for c in comps)
+    comps_ok = smallest >= 3
     drift_simple = not analysis.has_multi_edge(drift)
     conditions = (
         ConditionEval("controlled graph connected", False, "Theorem 4 hypothesis"),

@@ -282,7 +282,7 @@ def reference_sweep(kind, batches):
                 for y in list(spanning):
                     if x is y:
                         continue
-                    z = _bracket_vec(x, y, rules)
+                    z = _bracket_vec(x, y, rules, {})
                     if z and ech.insert(z):
                         z = _primitive(z)
                         spanning.append(z)
@@ -329,7 +329,7 @@ def reference_adjoint(kind, batches):
                     continue
                 done.add(pair)
                 left, right = (ix, iy) if ix in generators else (iy, ix)
-                z = _bracket_vec(spanning[left], spanning[right], rules)
+                z = _bracket_vec(spanning[left], spanning[right], rules, {})
                 if z and ech.insert(z):
                     queue.append(len(spanning))
                     spanning.append(_primitive(z))
@@ -357,9 +357,9 @@ def bracket_log(monkeypatch):
     log = []
     original = algebra._bracket_vec
 
-    def counted(x, y, rules):
+    def counted(x, y, rules, cols):
         log.append((x, y, rules))
-        return original(x, y, rules)
+        return original(x, y, rules, cols)
 
     monkeypatch.setattr(algebra, "_bracket_vec", counted)
     return log

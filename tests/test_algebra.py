@@ -11,10 +11,12 @@ from structcon.algebra import (
     BasisElement,
     Cq,
     _ADMITTED,
+    _bracket_vec,
     _Echelon,
     _integral,
     _pair_bracket,
     _Rules,
+    _rules,
     _stored,
     bracket,
     bracket_via_matrices,
@@ -320,6 +322,79 @@ def test_matrix_round_trip_gl3(e):
 @given(x=_elements(su(3)), y=_elements(su(3)))
 def test_bracket_agrees_with_matrix_route_su3(x, y):
     assert bracket(x, y) == bracket_via_matrices(x, y)
+
+
+@st.composite
+def _left_and_rights(draw):
+    """A kind, a left operand of 1-4 terms with coefficients +-1..+-9, a
+    Fraction scale for it, and 2-5 right operands of 0-4 terms."""
+    kind = draw(st.sampled_from([so(4), gl(3), su(4)]))
+    basis = canonical_basis(kind)
+    x = AlgebraElement.build(kind, draw(st.lists(
+        st.tuples(st.sampled_from(basis), st.sampled_from([c for c in range(-9, 10) if c])),
+        min_size=1, max_size=4, unique_by=lambda t: t[0])))
+    scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    return kind, x, scale, draw(st.lists(_elements(kind), min_size=2, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_left_and_rights())
+def test_cached_adjoint_columns_match_the_matrix_route(data):
+    # one column cache per left operand, reused across right operands whose
+    # supports overlap, gives the bracket of each, on integer and on
+    # Fraction vectors; a one-term left operand reads its rule row and
+    # fills no cache
+    kind, x, scale, rights = data
+    rules = _rules(kind)
+    xq = x.scale(scale)
+    ints, fracs = {}, {}
+    for y in rights:
+        want = bracket_via_matrices(x, y)
+        # 6y is integral, as `_elements` draws denominators up to 3
+        z = _bracket_vec({k: int(v) for k, v in x.to_vector().items()},
+                         {k: int(6 * v) for k, v in y.to_vector().items()}, rules, ints)
+        assert AlgebraElement.from_vector(kind, {k: Q(v, 6) for k, v in z.items()}) == want
+        z = _bracket_vec(xq.to_vector(), y.to_vector(), rules, fracs)
+        assert AlgebraElement.from_vector(kind, z) == want.scale(scale)
+        assert bracket(xq, y) == want.scale(scale) == bracket_via_matrices(xq, y)
+    supports = {k for y in rights for k in y.to_vector()}
+    if len(x.to_vector()) == 1:
+        assert not ints and not fracs
+    else:
+        assert set(ints) == set(fracs) == supports
+
+
+def test_closure_copies_keep_their_rays_columns_apart():
+    # two copies of one control closure get different rays at the same
+    # position: each fills and reads the columns of its own ray, the copies
+    # share the base's caches below that position, and the base gains none
+    # at or past its own length
+    kind = su(5)
+    controls = [unit(kind, "C", 1, 2), elem(kind, ("B", 2, 3, 1), ("C", 3, 4, 2))]
+    rays = [elem(kind, ("B", 1, 2, 1), ("B", 4, 5, -3), ("D", 1, 3, 2)),
+            elem(kind, ("B", 1, 5, 2), ("C", 2, 4, 1))]
+    base = LieClosure(kind)
+    base.add_generators(controls)
+    base.run()
+    start = len(base.spanning)
+    filled = {k: dict(c) for k, c in enumerate(base.cols)}
+    copies = [base.copy() for _ in rays]
+    for state, ray in zip(copies, rays):
+        state.add_generators([ray])
+        state.run()
+    assert len(base.cols) == start
+    a, b = copies
+    assert a.spanning[start] != b.spanning[start]
+    assert a.cols[start] and b.cols[start] and a.cols[start] is not b.cols[start]
+    for state, ray in zip(copies, rays):
+        assert all(state.cols[k] is base.cols[k] for k in range(start))
+        assert (state.spanning, state.rank) == reference_adjoint(kind, [controls, [ray]])
+        for k in (1, start):
+            vec = state.spanning[k]
+            for ib, col in state.cols[k].items():
+                assert {k: v for k, v in col if v} == _bracket_vec(vec, {ib: 1}, state.rules, {})
+    # a shared cache only gains columns of the same vector
+    assert all(filled[k].items() <= base.cols[k].items() for k in filled)
 
 
 def test_closure_of_so3_path_matches_brute_force():

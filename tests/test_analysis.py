@@ -3,12 +3,13 @@ import random
 import pytest
 
 from structcon import analysis
-from structcon.algebra import AlgebraElement, BasisElement, su
+from structcon.algebra import AlgebraElement, AlgebraKind, BasisElement, Family, su
 from structcon.analysis import (
     circumjacent_digraph,
     circumjacent_undirected,
     closure_step_M,
     closure_step_T,
+    component_summary,
     components,
     digraph_self_loops,
     green_loops,
@@ -91,6 +92,7 @@ def test_components_match_a_brute_partition_on_random_graphs():
             assert got == _brute_partition(n, joins), g
             if not isinstance(g, Digraph):
                 assert is_connected(g) == (len(got) == 1)
+                assert component_summary(g) == (len(got), min(map(len, got))), g
 
 
 def test_check_walks_only_the_nodes_on_edges(monkeypatch):
@@ -106,6 +108,33 @@ def test_check_walks_only_the_nodes_on_edges(monkeypatch):
     assert 1 <= len(walks) <= 2
     comps = components(contr_graph(pair.control))
     assert len(comps) == 10**5 - 1 and comps[0] == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("family", ["so", "su"])
+def test_check_builds_no_set_per_edgeless_node(family, monkeypatch):
+    # the controlled components' count and least size come from the nodes
+    # on edges alone: `components`, one set per node, is never called, and
+    # the walks visit the two edge nodes at most once each
+    kind = AlgebraKind(Family(family), 10**5)
+    pair = ZeroPatternPair(DriftPattern(kind, (AlgebraElement.basis(kind, "B", 1, 2),)),
+                           ControlPattern(kind, (BasisElement("C" if family == "su" else "B", 1, 2),)))
+    walked, reachable = [], analysis._reachable
+
+    def counting(adj, start):
+        walked.append(reachable(adj, start))
+        return walked[-1]
+
+    def refused(g):
+        raise AssertionError("components called")
+
+    monkeypatch.setattr(analysis, "_reachable", counting)
+    monkeypatch.setattr(analysis, "components", refused)
+    report = check(pair)
+    assert sum(map(len, walked)) <= 2
+    assert report.verdict is Verdict.NECESSARY_FAILED_NO
+    assert [c.holds for c in report.conditions] == (
+        [False, False, False, True, True] if family == "su" else [False, False])
+    assert component_summary(contr_graph(pair.control)) == (10**5 - 1, 1)
 
 
 def test_strong_connectivity_golden(gl4_loop_pair):

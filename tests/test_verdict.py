@@ -136,16 +136,17 @@ def test_check_su_multi_edge_drift_blocks_theorem5():
                          ids=["su5_hub_with_loops", "su6_two_triads"])
 def test_check_su_walks_the_controlled_graph_once(name, theorem, monkeypatch):
     # su5's controlled graph is connected (Theorem 4), su6's is not (Theorem 5):
-    # either branch reads the controlled components from one walk
+    # either branch reads the controlled components' count and least size
+    # from one walk
     pair = load_pair(name)
     contr = graphs.contr_graph(pair.control)
-    components, walked = analysis.components, []
+    summary, walked = analysis.component_summary, []
 
     def counting(g):
         walked.append(g)
-        return components(g)
+        return summary(g)
 
-    monkeypatch.setattr(analysis, "components", counting)
+    monkeypatch.setattr(analysis, "component_summary", counting)
     assert check_su(pair).decided_by == theorem
     assert walked.count(contr) == 1
 
@@ -633,7 +634,7 @@ def test_closure_copy_keeps_parent_records_apart():
     for s in (state, twin):
         for vec, link in zip(s.spanning, s.parents):
             if link is not None:
-                z = algebra._bracket_vec(s.spanning[link[0]], s.spanning[link[1]], s.rules)
+                z = algebra._bracket_vec(s.spanning[link[0]], s.spanning[link[1]], s.rules, {})
                 assert algebra._primitive(z) == vec
 
 
