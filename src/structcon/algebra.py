@@ -492,14 +492,13 @@ def _bracket_vec(x: dict[int, int | Fraction], y: dict[int, int | Fraction],
     operand takes, and a column is filled the first time a y coordinate
     asks for it.  A column keeps the zeros its sum cancels to, which the
     result drops.  A column depends only on x, so the cache stays valid as
-    long as x is unchanged.  A one-term x needs no
-    cache: its columns are its rule row, scaled, and y meets that row on
-    their shared support (a key-view intersection, which the interpreter
-    builds by iterating the smaller side).  The structure constants are
-    `int`s, so `int` vectors give an `int` result and `Fraction` vectors a
-    `Fraction` one; the sums are the same exact sums either way, regrouped.
-    Rows are read from the table, and built only the first time one is
-    missing.
+    long as x is unchanged.  A one-term x needs no cache: its columns are
+    its rule row, scaled, and y meets that row on their shared support (a
+    key-view intersection, which the interpreter builds by iterating the
+    smaller side).  The structure constants are `int`s, so `int` vectors
+    give an `int` result and `Fraction` vectors a `Fraction` one; the sums
+    are the same exact sums either way, regrouped.  Rows are read from the
+    table, and built only the first time one is missing.
     """
     out: dict[int, int | Fraction] = {}
     get, rows = out.get, rules.rows
