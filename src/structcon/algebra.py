@@ -177,6 +177,15 @@ def canonical_basis(kind: AlgebraKind) -> tuple[BasisElement, ...]:
                  for j in range(1 if t == "E" else i + 1, kind.n + 1))
 
 
+def _stored_terms(b: BasisElement) -> tuple[tuple[BasisElement, int], ...]:
+    """b over the canonical basis, as (element, coefficient) pairs: b itself,
+    or D_1j - D_1i for a D_ij with i > 1, the one rewrite rule of the
+    package."""
+    if b.tag == "D" and b.i > 1:
+        return ((BasisElement._make(("D", 1, b.j)), 1), (BasisElement._make(("D", 1, b.i)), -1))
+    return ((b, 1),)
+
+
 def _bump(terms: dict[BasisElement, Fraction], key: BasisElement, c: Fraction) -> None:
     """terms[key] += c, dropping the key when the sum is zero."""
     v = terms.get(key, _Q0) + c
@@ -206,13 +215,9 @@ class AlgebraElement:
         for b, raw in items:
             validate_basis_element(kind, b)
             c = Fraction(raw)
-            if not c:
-                continue
-            if b.tag == "D" and b.i > 1:
-                _bump(terms, BasisElement("D", 1, b.j), c)
-                _bump(terms, BasisElement("D", 1, b.i), -c)
-            else:
-                _bump(terms, b, c)
+            if c:
+                for s, sign in _stored_terms(b):
+                    _bump(terms, s, c * sign)
         return AlgebraElement(kind, terms)
 
     @staticmethod
@@ -545,12 +550,17 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
     return vec if g == 1 else {idx: v // g for idx, v in vec.items()}
 
 
-def _integral(vec: dict[int, Fraction]) -> dict[int, int]:
-    """The primitive integer vector on the ray of a Fraction vector."""
+def _ray(rules: _Rules, terms: Iterable[tuple[BasisElement, Fraction | int]]) -> dict[int, int]:
+    """The primitive integer vector on the ray of sum c·b over `terms`, an
+    element's terms: distinct canonical basis elements (`_stored_terms` of
+    one base are such terms), each with a nonzero `int` or `Fraction`
+    coefficient.  No terms give the empty vector."""
+    index = rules.index
+    vec = {index(b): c.as_integer_ratio() for b, c in terms}
     if not vec:
         return {}
-    den = lcm(*(v.denominator for v in vec.values()))
-    return _primitive({idx: v.numerator * (den // v.denominator) for idx, v in vec.items()})
+    den = lcm(*[d for _, d in vec.values()])
+    return _primitive({idx: n * (den // d) for idx, (n, d) in vec.items()})
 
 
 def _eliminate(v: dict[int, int], p: int, row: dict[int, int]) -> None:
@@ -719,10 +729,10 @@ class SpanBasis(record("SpanBasis", "kind rows")):
     def contains(self, e: AlgebraElement) -> bool:
         if e.kind != self.kind:
             raise KindMismatch(f"element of {e.kind} tested against a {self.kind} span")
-        ech = _Echelon()
+        rules, ech = _rules(self.kind), _Echelon()
         for row in self.rows:
-            ech.insert(_integral(row.to_vector()))
-        return ech.contains(_integral(e.to_vector()))
+            ech.insert(_ray(rules, row._terms.items()))
+        return ech.contains(_ray(rules, e._terms.items()))
 
 
 class LieClosure:
@@ -853,12 +863,12 @@ class LieClosure:
         for e in elements:
             if e.kind != self.kind:
                 raise KindMismatch(f"generator of {e.kind} in a {self.kind} closure")
-            self.add_ray(_integral(e.to_vector()))
+            self.add_ray(_ray(self.rules, e._terms.items()))
 
     def add_ray(self, vec: dict[int, int]) -> None:
-        """Add a generator given as its primitive integer vector (`_integral`
-        of its coordinates); one in the span already, zero included, adds
-        nothing."""
+        """Add a generator given as its primitive integer vector (`_ray` of
+        its terms), the form in which every generator enters; one in the
+        span already, zero included, adds nothing."""
         if a := self.ech.insert(vec):
             self._push(vec)
             if a > _P and self.bound is not None:

@@ -30,23 +30,6 @@ def _adjacency(g: UndirectedGraph | ColoredMultigraph) -> dict[int, set[int]]:
     return adj
 
 
-def components(g: UndirectedGraph | ColoredMultigraph) -> list[frozenset[int]]:
-    """Partition of 1..n by reachability, in order of least node.  A node
-    without an edge is a singleton, found without a walk, so only the nodes
-    that carry edges are walked."""
-    adj = _adjacency(g)
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for root in range(1, g.n + 1):
-        if root not in adj:
-            out.append(frozenset((root,)))
-        elif root not in seen:
-            comp = _reachable(adj, root)
-            seen |= comp
-            out.append(frozenset(comp))
-    return out
-
-
 def component_summary(g: UndirectedGraph | ColoredMultigraph) -> tuple[int, int]:
     """(number of components, size of the smallest), in O(edges): a node
     without an edge is counted as a singleton, and only the nodes that carry
@@ -84,25 +67,42 @@ def _reachable(adj: dict[int, set[int]], start: int) -> set[int]:
     return seen
 
 
-def strongly_connected(g: Digraph, nodes: frozenset[int] | None = None) -> bool:
-    """Every ordered pair of nodes (default all of 1..n) mutually reachable
-    along arcs among those nodes; self-loops are ignored."""
-    if nodes is None:
-        nodes = frozenset(range(1, g.n + 1))
-    fwd: dict[int, set[int]] = {v: set() for v in nodes}
-    back: dict[int, set[int]] = {v: set() for v in nodes}
+def strongly_connected(g: Digraph) -> bool:
+    """Every ordered pair of nodes mutually reachable along arcs; self-loops
+    are ignored."""
+    return g.n == 1 or len(strong_components(g) or ()) == 1
+
+
+def strong_components(g: Digraph) -> list[frozenset[int]] | None:
+    """The weak components of g, in order of least node, if each one is
+    strongly connected with at least 2 nodes; else None.  Self-loops are
+    ignored.
+
+    In O(arcs): a node without both an arc out to another node and one in
+    from another gives None before any walk, so a walk only starts once
+    every node is on arcs.  From each component's least node one walk goes
+    forward and one back.  They reach the same set exactly when that set,
+    the node's strong component, is closed under arcs both ways, so is its
+    weak component.
+    """
+    fwd: dict[int, set[int]] = {}
+    back: dict[int, set[int]] = {}
     for i, j in g.arcs:
-        if i != j and i in nodes and j in nodes:
-            fwd[i].add(j)
-            back[j].add(i)
-    rep = min(nodes)
-    return _reachable(fwd, rep) == nodes and _reachable(back, rep) == nodes
-
-
-def weak_components(g: Digraph) -> list[frozenset[int]]:
-    """Components of the digraph with arc directions ignored."""
-    undirected = UndirectedGraph.of(g.n, ((i, j) for i, j in g.arcs if i != j))
-    return components(undirected)
+        if i != j:
+            fwd.setdefault(i, set()).add(j)
+            back.setdefault(j, set()).add(i)
+    if len(fwd) < g.n or len(back) < g.n:
+        return None
+    seen: set[int] = set()
+    out: list[frozenset[int]] = []
+    for root in range(1, g.n + 1):
+        if root not in seen:
+            comp = _reachable(fwd, root)
+            if comp != _reachable(back, root):
+                return None
+            seen |= comp
+            out.append(frozenset(comp))
+    return out
 
 
 def digraph_self_loops(g: Digraph) -> frozenset[int]:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .algebra import AlgebraElement, AlgebraKind, Family, record
 from .errors import SizeMismatch
-from .patterns import ControlPattern, DriftPattern, control_generators
+from .patterns import ControlPattern, DriftPattern
 
 
 class Color(Enum):
@@ -115,7 +115,7 @@ def _support_pairs(e: AlgebraElement) -> list[tuple[str, int, int]]:
     """
     pairs = []
     diag: dict[int, Fraction] = {}
-    for b, c in e.items():
+    for b, c in e._terms.items():
         if b.tag == "D":
             diag[b.i] = diag.get(b.i, 0) + c
             diag[b.j] = diag.get(b.j, 0) - c
@@ -135,9 +135,16 @@ def drift_graph(p: DriftPattern) -> Graph:
 
 
 def contr_graph(p: ControlPattern) -> Graph:
-    """Union of the graphs of the control generators, so each D_ij base puts
-    loops at both i and j."""
-    return _graph(p.kind, [t for a in control_generators(p) for t in _support_pairs(a)])
+    """Union of the graphs of the control generators, read off the bases: a
+    B, C or E base is its own (tag, i, j) pair, and a D_ij base puts loops at
+    both i and j, as i(E_ii - E_jj) is nonzero on both diagonal entries."""
+    pairs: list[tuple[str, int, int]] = []
+    for b in p.bases:
+        if b.tag == "D":
+            pairs += (("D", b.i, b.i), ("D", b.j, b.j))
+        else:
+            pairs.append(b)
+    return _graph(p.kind, pairs)
 
 
 def union(g1: Graph, g2: Graph) -> Graph:

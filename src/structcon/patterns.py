@@ -133,4 +133,4 @@ def drift_is_basis_subset(pattern: DriftPattern) -> bool:
     """True when every drift base is a single matrix unit (GL only)."""
     if pattern.kind.family is not Family.GL:
         raise KindMismatch(f"basis-subset drift test is defined over gl(n), not {pattern.kind}")
-    return all(len(list(a.items())) == 1 for a in pattern.bases)
+    return all(len(a._terms) == 1 for a in pattern.bases)

@@ -15,14 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, graphs
-from .algebra import AlgebraKind, Family, LieClosure, _integral, _ModEchelon, record
+from .algebra import AlgebraKind, Family, LieClosure, _ModEchelon, _ray, _stored_terms, record
 from .errors import KindMismatch
 from .patterns import (
     DEFAULT_POOL,
     ControlPattern,
     ZeroPatternPair,
     _normalise_pool,
-    control_generators,
     drift_is_basis_subset,
     sample_drift,
 )
@@ -101,9 +100,9 @@ def check_gl(pair: ZeroPatternPair) -> Report:
     contr = graphs.contr_graph(pair.control)
     u = graphs.union(graphs.drift_graph(pair.drift), contr)
 
+    # one strong-components pass per graph; a node on no arc ends it unwalked
     union_strong = analysis.strongly_connected(u)
-    comps = analysis.weak_components(contr)
-    comps_ok = all(len(c) >= 2 and analysis.strongly_connected(contr, c) for c in comps)
+    comps_ok = analysis.strong_components(contr) is not None
     contr_loop = bool(analysis.digraph_self_loops(contr))
     basis_drift = drift_is_basis_subset(pair.drift)
     union_loop = bool(analysis.digraph_self_loops(u))
@@ -137,8 +136,7 @@ def check_su(pair: ZeroPatternPair) -> Report:
 
     count, smallest = analysis.component_summary(contr)
     contr_connected = count == 1
-    odd_red, _ = analysis.has_odd_red_cycle(u)
-    feature = bool(analysis.green_loops(u)) or odd_red
+    feature = bool(analysis.green_loops(u)) or analysis.has_odd_red_cycle(u)[0]
 
     if contr_connected:
         conditions = (
@@ -228,7 +226,10 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
 
     Deterministic per seed.  The control-set closure is computed once and
     copied per trial; every closure uses `LieClosure`'s generator-adjoint
-    pair rule, and trials report dimensions alone.  Every sampled drift lies
+    pair rule, and trials report dimensions alone.  Controls and drifts
+    enter as primitive integer rays (`algebra._ray`): each control base's
+    ray is read off the base itself, and the one `Fraction` element built
+    per trial is its sampled drift.  Every sampled drift lies
     in span{A_1..A_m} of the drift bases, so every trial closes inside the
     relaxed closure L(A_1..A_m, U), and later trials stop once their rank
     reaches its dimension R: a span of rank R inside an R-dimensional Lie
@@ -262,7 +263,9 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     kind = pair.kind
     choices = _normalise_pool(pool)
     base = LieClosure(kind)
-    base.add_generators(control_generators(pair.control))
+    rules = base.rules
+    for b in pair.control.bases:
+        base.add_ray(_ray(rules, _stored_terms(b)))
     base.run()
 
     target = kind.dimension
@@ -273,7 +276,7 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     dims: list[int] = []
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
-        ray = _integral(drift.to_vector())
+        ray = _ray(rules, drift._terms.items())
         key = frozenset(ray.items())
         if key not in closed:
             bound = target if relaxed is None else relaxed

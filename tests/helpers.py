@@ -5,14 +5,16 @@ Everything here works on dense complex-rational matrices (entries are
 Gaussian elimination.  None of it shares code with the package's sparse
 structure-constant route, so the two can check each other; the exceptions
 are `reference_sweep` and `reference_adjoint`, which check the closure
-loop alone, and `bracket_log` and `fresh_rules`, which watch the brackets
-the package evaluates and the structure-constant rows it builds.
+loop alone, `integral`, which checks the integer ray of an element's terms,
+and `bracket_log` and `fresh_rules`, which watch the brackets the package
+evaluates and the structure-constant rows it builds.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from structcon.graphs import Color, ColoredMultigraph
+from structcon.graphs import Color, ColoredMultigraph, Digraph, UndirectedGraph
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -158,6 +160,44 @@ def brute_closure_dim(n, term_lists):
 
 
 # ---------------------------------------------------------------------------
+# graph references
+# ---------------------------------------------------------------------------
+
+
+def components(g):
+    """Partition of 1..n of an undirected or colored graph by reachability,
+    in order of least node: one search per unseen node, every node walked,
+    green self-loops joining nothing."""
+    edges = g.edges if isinstance(g, UndirectedGraph) else [(i, j) for i, j, _ in g.edges]
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, out = set(), []
+    for root in range(1, g.n + 1):
+        if root not in seen:
+            comp, stack = {root}, [root]
+            while stack:
+                for v in adj[stack.pop()] - comp:
+                    comp.add(v)
+                    stack.append(v)
+            seen |= comp
+            out.append(frozenset(comp))
+    return out
+
+
+def reaches(g: Digraph, u, v):
+    """Whether v is reachable from u along the non-loop arcs of g, by
+    growing the reached set until it stops changing."""
+    reached = {u}
+    while True:
+        grown = reached | {j for i, j in g.arcs if i in reached and i != j}
+        if grown == reached:
+            return v in reached
+        reached = grown
+
+
+# ---------------------------------------------------------------------------
 # cycle enumeration for the odd-red detector
 # ---------------------------------------------------------------------------
 
@@ -256,6 +296,18 @@ def relabel(pair, perm):
 # ---------------------------------------------------------------------------
 
 
+def integral(vec):
+    """The primitive integer vector on the ray of a Fraction coordinate
+    vector: with `AlgebraElement.to_vector`, the two-step reference for
+    `algebra._ray`."""
+    from structcon.algebra import _primitive
+
+    if not vec:
+        return {}
+    den = lcm(*(v.denominator for v in vec.values()))
+    return _primitive({idx: v.numerator * (den // v.denominator) for idx, v in vec.items()})
+
+
 def reference_sweep(kind, batches):
     """Closure by the literal sweep: every frontier vector bracketed with every
     vector spanning the state when its turn starts, repeats included.
@@ -265,14 +317,14 @@ def reference_sweep(kind, batches):
     reuses the package's bracket and echelon, so that only the loop differs.
     Returns (spanning vectors, steps, rank).
     """
-    from structcon.algebra import _bracket_vec, _Echelon, _integral, _primitive, _rules
+    from structcon.algebra import _bracket_vec, _Echelon, _primitive, _rules
 
     rules, dim = _rules(kind), kind.dimension
     ech = _Echelon()
     spanning, frontier, steps = [], [], 0
     for batch in batches:
         for e in batch:
-            vec = _integral(e.to_vector())
+            vec = integral(e.to_vector())
             if ech.insert(vec):
                 spanning.append(vec)
                 frontier.append(vec)
@@ -308,14 +360,14 @@ def reference_adjoint(kind, batches):
     """
     from collections import deque
 
-    from structcon.algebra import _bracket_vec, _Echelon, _integral, _primitive, _rules
+    from structcon.algebra import _bracket_vec, _Echelon, _primitive, _rules
 
     rules, dim = _rules(kind), kind.dimension
     ech = _Echelon()
     spanning, generators, done, queue = [], set(), set(), deque()
     for batch in batches:
         for e in batch:
-            vec = _integral(e.to_vector())
+            vec = integral(e.to_vector())
             if ech.insert(vec):
                 generators.add(len(spanning))
                 queue.append(len(spanning))

@@ -13,11 +13,12 @@ from structcon.algebra import (
     _ADMITTED,
     _bracket_vec,
     _Echelon,
-    _integral,
     _pair_bracket,
+    _ray,
     _Rules,
     _rules,
     _stored,
+    _stored_terms,
     bracket,
     bracket_via_matrices,
     canonical_basis,
@@ -31,6 +32,7 @@ from structcon.algebra import (
     to_matrix,
 )
 from structcon.errors import EmptyGenerators, KindMismatch, MembershipError, ValidationError
+from structcon.patterns import ControlPattern, control_generators
 
 from helpers import (
     DenseSpan,
@@ -39,6 +41,7 @@ from helpers import (
     brute_closure_dim,
     elem_matrix,
     flatten,
+    integral,
     kind_candidates,
     reference_adjoint,
     reference_sweep,
@@ -567,6 +570,41 @@ def _vectors(draw):
     return dim, vecs, [free, {k: c for k, c in combo.items() if c}]
 
 
+@st.composite
+def _term_lists(draw):
+    """A kind and terms over its admissible bases, D_ij with i > 1 included,
+    with `Fraction` coefficients; in su, sometimes D_ij + D_jk - D_ik too,
+    which cancels to zero."""
+    kind = draw(st.sampled_from([so(4), gl(3), su(4)]))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    items = draw(st.lists(st.tuples(st.sampled_from(kind_candidates(kind)), coeffs), max_size=5))
+    if kind.admits("D") and draw(st.booleans()):
+        i, j, k = sorted(draw(st.permutations(range(1, 5)))[:3])
+        c = draw(coeffs)
+        items += [(BasisElement("D", i, j), c), (BasisElement("D", j, k), c),
+                  (BasisElement("D", i, k), -c)]
+    return kind, items
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_term_lists())
+def test_ray_of_terms_matches_integral_of_coordinates(data):
+    # the one ray routine against the two-step route through `to_vector`
+    kind, items = data
+    e = AlgebraElement.build(kind, items)
+    assert _ray(_rules(kind), e._terms.items()) == integral(e.to_vector())
+
+
+@pytest.mark.parametrize("kind", [so(4), gl(3), su(5)], ids=str)
+def test_control_ray_matches_integral_of_its_generator(kind):
+    # a control base's ray, read off the base (D_ij with i > 1 rewritten),
+    # against its `control_generators` element's coordinates
+    rules = _rules(kind)
+    for b in kind_candidates(kind):
+        [g] = control_generators(ControlPattern(kind, (b,)))
+        assert _ray(rules, _stored_terms(b)) == integral(g.to_vector()), b
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=_vectors())
 def test_echelon_matches_dense_span(data):
@@ -579,13 +617,13 @@ def test_echelon_matches_dense_span(data):
     for v in vecs:
         pivots = set(ech.rows)
         # insert gives the new row's pivot entry, or 0 for a vector in the span
-        entry = ech.insert(_integral(v))
+        entry = ech.insert(integral(v))
         assert bool(entry) == ref.insert(dense(v))
         assert ech.rank == ref.rank
         assert [ech.rows[p][p] for p in set(ech.rows) - pivots] == ([entry] if entry else [])
     for v in probes:
-        assert ech.contains(_integral(v)) == ref.contains(dense(v))
-    assert ech.contains(_integral(probes[1]))
+        assert ech.contains(integral(v)) == ref.contains(dense(v))
+    assert ech.contains(integral(probes[1]))
     pivots = sorted(ech.rows)
     rows = ech.ordered_rows()
     assert len(rows) == ref.rank

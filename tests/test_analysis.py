@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,6 @@ from structcon.analysis import (
     closure_step_M,
     closure_step_T,
     component_summary,
-    components,
     digraph_self_loops,
     green_loops,
     has_multi_edge,
@@ -19,8 +19,8 @@ from structcon.analysis import (
     is_simple_complete,
     iterate_M,
     iterate_T,
+    strong_components,
     strongly_connected,
-    weak_components,
 )
 from structcon.errors import HasSelfLoop, NotSimple
 from structcon.graphs import (
@@ -35,7 +35,7 @@ from structcon.graphs import (
 from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair
 from structcon.verdict import Verdict, check
 
-from helpers import brute_odd_red_cycle, witness_is_odd_red_cycle
+from helpers import brute_odd_red_cycle, components, reaches, witness_is_odd_red_cycle
 
 
 def test_components_golden(so6_pair, su6_pair):
@@ -82,17 +82,26 @@ def test_components_match_a_brute_partition_on_random_graphs():
         n = rng.randint(2, 7)
         pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
         plain = UndirectedGraph.of(n, [(i, j) for i, j in pairs if i != j])
-        arcs = Digraph.of(n, pairs)
         colored = _random_multigraph(rng, n, 6)
-        for g, joins, got in (
-            (plain, plain.edges, components(plain)),
-            (arcs, arcs.arcs, weak_components(arcs)),
-            (colored, [(i, j) for i, j, _ in colored.edges], components(colored)),
-        ):
+        for g, joins in ((plain, plain.edges), (colored, [(i, j) for i, j, _ in colored.edges])):
+            got = components(g)
             assert got == _brute_partition(n, joins), g
-            if not isinstance(g, Digraph):
-                assert is_connected(g) == (len(got) == 1)
-                assert component_summary(g) == (len(got), min(map(len, got))), g
+            assert is_connected(g) == (len(got) == 1)
+            assert component_summary(g) == (len(got), min(map(len, got))), g
+
+
+def test_strong_components_match_brute_reachability_on_random_digraphs():
+    # the weak partition when each block is strongly connected with at least
+    # 2 nodes, else None; self-loops count for nothing
+    rng = random.Random(98)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = Digraph.of(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 9))])
+        blocks = _brute_partition(n, g.arcs)
+        strong = all(len(b) >= 2 and all(reaches(g, u, v) for u in b for v in b) for b in blocks)
+        assert strong_components(g) == (blocks if strong else None), g
+        assert strongly_connected(g) == all(reaches(g, u, v) for u in range(1, n + 1)
+                                            for v in range(1, n + 1)), g
 
 
 def test_check_walks_only_the_nodes_on_edges(monkeypatch):
@@ -113,8 +122,7 @@ def test_check_walks_only_the_nodes_on_edges(monkeypatch):
 @pytest.mark.parametrize("family", ["so", "su"])
 def test_check_builds_no_set_per_edgeless_node(family, monkeypatch):
     # the controlled components' count and least size come from the nodes
-    # on edges alone: `components`, one set per node, is never called, and
-    # the walks visit the two edge nodes at most once each
+    # on edges alone: the walks visit the two edge nodes at most once each
     kind = AlgebraKind(Family(family), 10**5)
     pair = ZeroPatternPair(DriftPattern(kind, (AlgebraElement.basis(kind, "B", 1, 2),)),
                            ControlPattern(kind, (BasisElement("C" if family == "su" else "B", 1, 2),)))
@@ -124,11 +132,7 @@ def test_check_builds_no_set_per_edgeless_node(family, monkeypatch):
         walked.append(reachable(adj, start))
         return walked[-1]
 
-    def refused(g):
-        raise AssertionError("components called")
-
     monkeypatch.setattr(analysis, "_reachable", counting)
-    monkeypatch.setattr(analysis, "components", refused)
     report = check(pair)
     assert sum(map(len, walked)) <= 2
     assert report.verdict is Verdict.NECESSARY_FAILED_NO
@@ -137,22 +141,46 @@ def test_check_builds_no_set_per_edgeless_node(family, monkeypatch):
     assert component_summary(contr_graph(pair.control)) == (10**5 - 1, 1)
 
 
+def test_check_gl_walks_no_edgeless_node(monkeypatch):
+    # two arcs in gl(10^5): an edgeless node makes both strong-connectivity
+    # clauses false before any walk, and no table holds every node
+    kind = AlgebraKind(Family.GL, 10**5)
+    pair = ZeroPatternPair(DriftPattern(kind, (AlgebraElement.basis(kind, "E", 1, 2),)),
+                           ControlPattern(kind, (BasisElement("E", 2, 1),)))
+    walked, reachable = [], analysis._reachable
+    monkeypatch.setattr(analysis, "_reachable",
+                        lambda adj, start: walked.append(start) or reachable(adj, start))
+    tracemalloc.start()
+    try:
+        report = check(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == []
+    assert peak < 2**20, peak
+    assert report.verdict is Verdict.NECESSARY_FAILED_NO
+    assert [c.holds for c in report.conditions] == [False, False, False, True, False]
+
+
 def test_strong_connectivity_golden(gl4_loop_pair):
     u = union(drift_graph(gl4_loop_pair.drift), contr_graph(gl4_loop_pair.control))
     assert strongly_connected(u)
     contr = contr_graph(gl4_loop_pair.control)
-    assert weak_components(contr) == [frozenset({1, 2}), frozenset({3, 4})]
+    # each weak controlled component is strongly connected
+    assert strong_components(contr) == [frozenset({1, 2}), frozenset({3, 4})]
+    assert not strongly_connected(contr)
     assert digraph_self_loops(contr) == frozenset({1})
     assert not strongly_connected(Digraph.of(2, [(1, 2)]))
+    assert strong_components(Digraph.of(2, [(1, 2)])) is None
     assert strongly_connected(Digraph.of(1, []))
+    # a one-node component fails the component clause even at n = 1
+    assert strong_components(Digraph.of(1, [(1, 1)])) is None
     # self-loops alone do not make a graph strongly connected
     assert not strongly_connected(Digraph.of(2, [(1, 1), (2, 2)]))
-    # on a node subset only the arcs among those nodes count
-    assert all(strongly_connected(contr, c) for c in weak_components(contr))
     cycle3 = Digraph.of(3, [(1, 2), (2, 3), (3, 1)])
     assert strongly_connected(cycle3)
-    assert not strongly_connected(cycle3, frozenset({1, 2}))
-    assert strongly_connected(cycle3, frozenset({3}))
+    # every node has an arc in and out, yet 3 reaches nothing back
+    assert strong_components(Digraph.of(3, [(1, 2), (2, 1), (2, 3), (3, 3), (1, 3)])) is None
 
 
 def test_multi_edges_and_green_loops(su5_pair, su6_pair):

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from structcon.algebra import AlgebraElement, BasisElement, gl, so, su
+from structcon.algebra import AlgebraElement, AlgebraKind, BasisElement, Family, gl, so, su
 from structcon.errors import SizeMismatch
 from structcon.graphs import (
     Color,
     ColoredMultigraph,
     Digraph,
     UndirectedGraph,
+    _graph,
+    _support_pairs,
     contr_graph,
     drift_graph,
     matrix_graph,
@@ -18,7 +20,7 @@ from structcon.graphs import (
 from structcon.patterns import DEFAULT_POOL, ControlPattern, control_generators, sample_drift
 
 from conftest import SPEC_NAMES, load_pair
-from helpers import random_kind_pair
+from helpers import kind_candidates, random_kind_pair
 
 
 def elem(kind, *terms):
@@ -114,6 +116,18 @@ def test_kind_graphs_are_union_of_element_graphs(family, n):
         assert drift_graph(pair.drift) == _union_all([matrix_graph(a) for a in pair.drift.bases])
         assert contr_graph(pair.control) == _union_all(
             [matrix_graph(e) for e in control_generators(pair.control)])
+
+
+def test_contr_graph_matches_the_element_route_on_random_controls():
+    # read off the bases, the control graph is the one the generator
+    # elements' supports give, D_ij with i > 1 included
+    rng = random.Random(27)
+    for _ in range(300):
+        kind = AlgebraKind(rng.choice(list(Family)), rng.randint(2, 6))
+        candidates = kind_candidates(kind)
+        p = ControlPattern(kind, tuple(rng.sample(candidates, rng.randint(1, min(8, len(candidates))))))
+        old = _graph(kind, [t for g in control_generators(p) for t in _support_pairs(g)])
+        assert contr_graph(p) == old, p
 
 
 def test_sampled_drift_graph_is_subgraph_of_pattern_graph(so6_pair):

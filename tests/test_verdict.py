@@ -558,19 +558,25 @@ def test_oracle_confirms_a_switched_first_trial_below_full(monkeypatch):
 @pytest.mark.parametrize("pair", [_dense_su6(), _SWITCHED_BELOW_FULL], ids=["dense-su6", "below-full"])
 def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
     # only a trial closure, given its bound, switches: the control closure
-    # and the relaxed closure start exact, without a bound, and end exact
-    states, add_generators = [], LieClosure.add_generators
+    # and the relaxed closure start exact, without a bound, and end exact.
+    # Each run is logged: the control closure's is the first, and the
+    # relaxed closure's is the second on the first trial's state
+    runs, run = [], LieClosure.run
 
-    def logged(self, elements):
-        states.append(self)
-        assert type(self.ech) is algebra._Echelon and self.bound is None
-        add_generators(self, elements)
+    def logged(self, bound=None):
+        again = any(s is self for s, *_ in runs)
+        start = (self.bound, type(self.ech))
+        run(self, bound)
+        runs.append((self, again, start, type(self.ech)))
 
-    monkeypatch.setattr(LieClosure, "add_generators", logged)
+    monkeypatch.setattr(LieClosure, "run", logged)
     oracle(pair, trials=8, seed=0)
+    assert runs[0][0].generators == list(range(len(pair.control.bases)))
+    closures = [runs[0]] + [r for r in runs if r[1]]
     # the control closure, and the relaxed closure of a first trial below full
-    assert len(states) == (2 if pair is _SWITCHED_BELOW_FULL else 1)
-    assert all(type(s.ech) is algebra._Echelon for s in states)
+    assert len(closures) == (2 if pair is _SWITCHED_BELOW_FULL else 1)
+    assert all(start == (None, algebra._Echelon) and end is algebra._Echelon
+               for _, _, start, end in closures)
 
 
 def test_lie_closure_stays_exact_past_p(monkeypatch):
