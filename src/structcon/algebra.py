@@ -217,7 +217,7 @@ class AlgebraElement:
             c = Fraction(raw)
             if c:
                 for s, sign in _stored_terms(b):
-                    _bump(terms, s, c * sign)
+                    _bump(terms, s, c if sign > 0 else -c)
         return AlgebraElement(kind, terms)
 
     @staticmethod
