@@ -45,11 +45,16 @@ def test_components_golden(so6_pair, su6_pair):
         frozenset({1, 2, 3}), frozenset({4, 5, 6})]
     assert components(UndirectedGraph.of(3, [])) == [
         frozenset({1}), frozenset({2}), frozenset({3})]
+    # the checkers read the same partition as (count, least size)
+    assert component_summary(contr_graph(so6_pair.control)) == (2, 3)
+    assert component_summary(contr_graph(su6_pair.control)) == (2, 3)
+    assert component_summary(UndirectedGraph.of(3, [])) == (3, 1)
 
 
 def test_green_loops_do_not_join_nodes():
     g = ColoredMultigraph.of(3, [(1, 1, Color.GREEN), (2, 2, Color.GREEN)])
     assert components(g) == [frozenset({1}), frozenset({2}), frozenset({3})]
+    assert component_summary(g) == (3, 1)
     assert not is_connected(g)
 
 
