@@ -667,18 +667,15 @@ class _ModEchelon:
     (each stays reduced; one whose pivot entry p divides is left out).
     Integer vectors of a Lie algebra L over Q have rank mod p at most their
     rank over Q, as reduction commutes with the integer structure
-    constants, so a rank here that reaches dim L proves it.  A vector called
-    dependent here may be independent over Q: `dependent` keeps each one
-    since the switch, and `exact_rank` confirms a lower rank against the
-    exact echelon at the switch plus the vectors pushed since.
+    constants, so a rank here that reaches dim L proves it.  A lower rank
+    proves nothing: a vector called dependent here may be independent over
+    Q, so such a trial closes again exactly (`verdict._close`).
     """
 
-    __slots__ = ("exact", "rows", "dependent")
+    __slots__ = ("rows",)
 
     def __init__(self, exact: _Echelon) -> None:
-        self.exact = exact
         self.rows = {q: _monic(row, q) for q, row in exact.rows.items() if row[q] % _P}
-        self.dependent: list[dict[int, int]] = []
 
     @property
     def rank(self) -> int:
@@ -690,7 +687,6 @@ class _ModEchelon:
         for q in [q for q in out if q in rows]:
             _eliminate_mod(out, out[q], rows[q])
         if not out:
-            self.dependent.append(vec)
             return False
         p = min(out)
         out = _monic(out, p)
@@ -701,18 +697,6 @@ class _ModEchelon:
                 rows[q] = new
         rows[p] = out
         return True
-
-    def exact_rank(self, vectors: Iterable[dict[int, int]]) -> int | None:
-        """The rank over Q of the seed's span with `vectors` added, if that
-        span holds every vector called dependent here; else None.  On
-        success that span's echelon becomes `exact`."""
-        ech = self.exact.copy()
-        for vec in vectors:
-            ech.insert(vec)
-        if not all(map(ech.contains, self.dependent)):
-            return None
-        self.exact = ech
-        return ech.rank
 
 
 class SpanBasis(record("SpanBasis", "kind rows")):
@@ -783,18 +767,15 @@ class LieClosure:
     front of a `run`: each lies in the closure and only seeds the frontier.
 
     A closure given a `bound` (an oracle trial) switches to rank decisions
-    mod p once its exact rows outgrow p: at the first insert, by `add_ray`,
-    `replay` or `run`, whose new echelon row has a pivot entry above `_P`,
-    `ech` becomes a `_ModEchelon` seeded with the exact echelon.  The
-    vectors, brackets and order stay those of exact decisions.  Two
-    certificates, counted from the switch, keep the dimension exact: a rank
-    mod p that reaches the bound proves it, since rank mod p is at most the
-    rank over Q.  Below the bound, the exact echelon at the switch plus the
-    vectors pushed since span the closure if they hold every vector called
-    dependent since: then so does every bracket the pair rule asks for, and
-    their exact rank is the dimension (`_ModEchelon.exact_rank`).  Without
-    a bound (`lie_closure`, and the oracle's control and relaxed closures)
-    every decision is exact.
+    mod p once its exact rows outgrow p: at the first push whose new
+    echelon row has a pivot entry above `_P` (`_push`), `ech` becomes a
+    `_ModEchelon` seeded with the exact echelon.  The vectors, brackets and
+    order stay those of exact decisions.  A rank mod p that reaches the
+    bound proves the dimension, since rank mod p is at most the rank over
+    Q; a switched closure that ends below its bound proves nothing, and
+    its caller closes it again exactly (`verdict._close`).  Without a bound
+    (`lie_closure`, and the oracle's control and relaxed closures) every
+    decision is exact.
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
@@ -847,7 +828,9 @@ class LieClosure:
     def rank(self) -> int:
         return self.ech.rank
 
-    def _push(self, vec: dict[int, int], parents: tuple[int, int] | None = None) -> None:
+    def _push(self, vec: dict[int, int], a: int, parents: tuple[int, int] | None = None) -> None:
+        """Record vec, which raised the rank with new pivot entry `a`, and
+        switch to ranks mod p if the closure has a bound and `a` outgrew p."""
         N = self.rules.N
         mask = 0
         for idx in vec:
@@ -858,6 +841,8 @@ class LieClosure:
         self.masks.append(mask)
         self.parents.append(parents)
         self.cols.append({})
+        if a > _P and self.bound is not None:
+            self.ech = _ModEchelon(self.ech)
 
     def add_generators(self, elements: Iterable[AlgebraElement]) -> None:
         for e in elements:
@@ -870,17 +855,12 @@ class LieClosure:
         its terms), the form in which every generator enters; one in the
         span already, zero included, adds nothing."""
         if a := self.ech.insert(vec):
-            self._push(vec)
-            if a > _P and self.bound is not None:
-                self.ech = _ModEchelon(self.ech)
+            self._push(vec, a)
 
-    def run(self, bound: int | None = None) -> None:
-        """Sweep until the span stabilizes, fills the algebra or reaches
-        `bound` (default: the closure's `bound`, else the algebra's
-        dimension), which the caller vouches is the dimension of a Lie
-        algebra holding every generator."""
-        if bound is None:
-            bound = self.kind.dimension if self.bound is None else self.bound
+    def run(self) -> None:
+        """Sweep until the span stabilizes, fills the algebra or reaches the
+        closure's `bound`."""
+        bound = self.kind.dimension if self.bound is None else self.bound
         spanning, masks, reach, ech = self.spanning, self.masks, self.reach, self.ech
         parents, cols, rules, sweep = self.parents, self.cols, self.rules, self.sweep
         # a sweep yields a frontier only when the rank grew, so this terminates
@@ -903,11 +883,10 @@ class LieClosure:
                         else:
                             z = _bracket_vec(spanning[iy], x, rules, cols[iy])
                         if z and (a := ech.insert(z)):
-                            self._push(_primitive(z), (ix, iy) if x_gen else (iy, ix))
+                            self._push(_primitive(z), a, (ix, iy) if x_gen else (iy, ix))
+                            ech = self.ech
                             if ech.rank == bound:
                                 break
-                            if a > _P and self.bound is not None:
-                                self.ech = ech = _ModEchelon(ech)
                 if ech.rank == bound:
                     break
             if len(spanning) > end:
@@ -918,14 +897,12 @@ class LieClosure:
         vectors present, in order while each raises the rank; stop at the
         first zero or dependent word.  The pushed vectors have had no turn,
         so they stay in the frontier for `run`."""
-        spanning, cols, rules, ech = self.spanning, self.cols, self.rules, self.ech
+        spanning, cols, rules = self.spanning, self.cols, self.rules
         for left, right in words:
             z = _bracket_vec(spanning[left], spanning[right], rules, cols[left])
-            if not (z and (a := ech.insert(z))):
+            if not (z and (a := self.ech.insert(z))):
                 return
-            self._push(_primitive(z), (left, right))
-            if a > _P and self.bound is not None:
-                self.ech = ech = _ModEchelon(ech)
+            self._push(_primitive(z), a, (left, right))
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())

@@ -250,13 +250,9 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     bound, the trial decides ranks mod p from its first exact row whose
     pivot entry outgrows p (`algebra._ModEchelon`); the brackets, in order,
     are those of exact decisions.  Rank mod p is at most the rank over Q,
-    so reaching the bound mod p proves it.  A trial below the bound kept
-    every bracket it called dependent since the switch; if each lies in the
-    exact span of the echelon at the switch and the vectors pushed since,
-    so does every bracket the pair rule asks for, and that span's rank is
-    the dimension.  Otherwise the trial runs again exactly.  A first trial
-    below full takes that exact echelon back before the drift bases grow
-    it.  So every dimension, R and `achieved_full` are exact.
+    so reaching the bound mod p proves it; a switched trial that ends below
+    its bound closes again exactly (`_close`).  So every dimension, R and
+    `achieved_full` are exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -281,13 +277,6 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
         if key not in closed:
             bound = target if relaxed is None else relaxed
             state = _close(base, ray, words, bound)
-            ech = state.ech
-            if state.rank < bound and isinstance(ech, _ModEchelon):
-                # the exact echelon at the switch has one row per vector pushed before it
-                if ech.exact_rank(state.spanning[ech.exact.rank:]) is None:
-                    state = _close(base, ray, words, None)
-                else:
-                    state.ech = ech.exact
             closed[key] = state.rank
             if relaxed is None:
                 if state.rank < target:
@@ -305,13 +294,18 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
 def _close(base: LieClosure, ray: dict[int, int], words: list | None,
            bound: int | None) -> LieClosure:
     """A copy of the control closure with the ray, its replayed words and a
-    run under `bound`; given one, the copy may switch to ranks mod p."""
+    run under `bound`.  Given one, the copy may switch to ranks mod p; a
+    rank mod p that reaches the bound proves it, and a switched copy that
+    ends below it is closed again without a bound, exactly.  So the state
+    returned below its bound is exact."""
     state = base.copy()
     state.bound = bound
     state.add_ray(ray)
     if words and len(state.spanning) > len(base.spanning):
         state.replay(words)
     state.run()
+    if isinstance(state.ech, _ModEchelon) and state.rank < bound:
+        return _close(base, ray, words, None)
     return state
 
 

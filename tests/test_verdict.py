@@ -444,29 +444,55 @@ def test_oracle_exact_under_shuffled_template_words(pair, seed):
 @settings(max_examples=60, deadline=None)
 @given(pair=_pairs(), seed=st.integers(0, 50))
 def test_oracle_exact_under_a_tiny_prime(prime, pair, seed):
-    # mod 2 or 3 many independent brackets look dependent: a later trial
-    # below the bound is then confirmed exactly, or runs again exactly
+    # mod 2 or 3 many independent brackets look dependent: a switched trial
+    # that ends below its bound then closes again exactly
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_P", prime)
         got = oracle(pair, trials=4, seed=seed).dimensions
     assert got == _reference_dimensions(pair, 4, seed)
 
 
+def _close_log(mp):
+    """Log each trial closure as (bound, rank it ends at), in call order: an
+    exact re-close, bound None, follows the call that made it."""
+    calls, close = [], verdict_module._close
+
+    def logged(base, ray, words, bound):
+        k = len(calls)
+        calls.append(None)
+        state = close(base, ray, words, bound)
+        calls[k] = (bound, state.rank)
+        return state
+
+    mp.setattr(verdict_module, "_close", logged)
+    return calls
+
+
+def _distinct_rays(pair, trials, seed):
+    rules = algebra._rules(pair.kind)
+    return len({frozenset(algebra._ray(rules, sample_drift(
+        pair.drift, DEFAULT_POOL, seed * 1_000_003 + t)._terms.items()).items())
+        for t in range(trials)})
+
+
 @pytest.mark.parametrize("prime", [2, 3])
 def test_oracle_falls_back_to_the_exact_trial_under_a_tiny_prime(prime, monkeypatch):
+    # the oracle calls `_close` once per distinct ray; a switched trial that
+    # ends below its bound closes itself again, exactly
     monkeypatch.setattr(algebra, "_P", prime)
-    confirmed = []
-    exact_rank = algebra._ModEchelon.exact_rank
-
-    def logged(self, vectors):
-        confirmed.append(exact_rank(self, vectors))
-        return confirmed[-1]
-
-    monkeypatch.setattr(algebra._ModEchelon, "exact_rank", logged)
+    calls = _close_log(monkeypatch)
     for name in _ORACLE_BRACKETS:
         p = load_pair(name)
+        start = len(calls)
         assert oracle(p, trials=8, seed=0).dimensions == _reference_dimensions(p, 8, 0), name
-    assert None in confirmed
+        bounds = [b for b, _ in calls[start:]]
+        assert len(bounds) - bounds.count(None) == _distinct_rays(p, 8, 0), name
+    # each re-close follows the call it closes again, which returns its
+    # state; the exact rank may reach the bound that the rank mod p missed
+    again = [k for k, (b, _) in enumerate(calls) if b is None]
+    assert again
+    for k in again:
+        assert calls[k - 1][0] is not None and calls[k - 1][1] == calls[k][1]
 
 
 def _dense_su6():
@@ -478,8 +504,8 @@ def _dense_su6():
 def test_oracle_trials_switch_once_their_rows_outgrow_p(monkeypatch):
     # each of the 4 trials has its own ray; each makes exact decisions
     # until a new echelon row's pivot entry passes p, then decides mod p and
-    # reaches full su(6) there.  The brackets are those of the exact path,
-    # in the same order
+    # reaches full su(6) there, so none closes again.  The brackets are
+    # those of the exact path, in the same order
     p = _dense_su6()
     events = []
     insert, copy = algebra._Echelon.insert, LieClosure.copy
@@ -497,8 +523,10 @@ def test_oracle_trials_switch_once_their_rows_outgrow_p(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(algebra, "_ModEchelon", Logged)
         log = bracket_log(mp)
+        calls = _close_log(mp)
         assert oracle(p, trials=4, seed=0).dimensions == (35,) * 4
         switched = [(x, y) for x, y, _ in log]
+    assert calls == [(35, 35)] * 4
     control, *trials = " ".join(events).split("copy")
     assert "switch" not in control and len(trials) == 4
     for trial in trials:
@@ -520,39 +548,26 @@ _SWITCHED_BELOW_FULL = pattern(
     [("C", 2, 6), ("D", 2, 6)])
 
 
-def test_oracle_confirms_a_switched_first_trial_below_full(monkeypatch):
+def test_oracle_recloses_a_switched_first_trial_below_full(monkeypatch):
     p = _SWITCHED_BELOW_FULL
     relaxed = lie_closure(list(p.drift.bases) + control_generators(p.control))[1]
     assert relaxed == 19
-
-    def bounds(mp):
-        # the bound of each trial closure, and where its rank ends
-        calls, close = [], verdict_module._close
-
-        def logged(base, ray, words, bound):
-            state = close(base, ray, words, bound)
-            calls.append((bound, state.rank))
-            return state
-
-        mp.setattr(verdict_module, "_close", logged)
-        return calls
-
-    confirmed, exact_rank = [], algebra._ModEchelon.exact_rank
-    monkeypatch.setattr(algebra._ModEchelon, "exact_rank",
-                        lambda self, vectors: confirmed.append(exact_rank(self, vectors)) or confirmed[-1])
     with monkeypatch.context() as mp:
-        calls = bounds(mp)
+        calls = _close_log(mp)
         dims = oracle(p, trials=8, seed=0).dimensions
     assert dims == _reference_dimensions(p, 8, 0) and dims[0] == 16
-    # the first trial switched, ended below full and was confirmed as it
-    # stood: no trial ran again exactly, and later trials ran under R
-    assert confirmed[0] == 16 and None not in confirmed
-    assert calls[0] == (35, 16) and {b for b, _ in calls[1:]} == {relaxed}
+    # the first trial switched and ended below full, so it closed again
+    # exactly, once, before the drift bases grew it to R.  Each of the 8
+    # distinct rays is closed once; later trials run under R, and the three
+    # of them that switch and end below it close again too
+    assert [b for b, _ in calls] == [35, None, 19, 19, 19, None, 19, 19, None, 19, None, 19]
+    assert {r for _, r in calls} == {16} and _distinct_rays(p, 8, 0) == 8
+    # the all-exact path makes the same calls, less the re-closes
     monkeypatch.setattr(algebra, "_ModEchelon", algebra._Echelon.copy)
     with monkeypatch.context() as mp:
-        exact = bounds(mp)
+        exact = _close_log(mp)
         assert oracle(p, trials=8, seed=0).dimensions == dims
-    assert exact == calls
+    assert exact == [c for c in calls if c[0] is not None]
 
 
 @pytest.mark.parametrize("pair", [_dense_su6(), _SWITCHED_BELOW_FULL], ids=["dense-su6", "below-full"])
@@ -563,10 +578,10 @@ def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
     # relaxed closure's is the second on the first trial's state
     runs, run = [], LieClosure.run
 
-    def logged(self, bound=None):
+    def logged(self):
         again = any(s is self for s, *_ in runs)
         start = (self.bound, type(self.ech))
-        run(self, bound)
+        run(self)
         runs.append((self, again, start, type(self.ech)))
 
     monkeypatch.setattr(LieClosure, "run", logged)
@@ -611,9 +626,9 @@ def test_oracle_runs_on_from_a_replay_that_falls_short(monkeypatch):
         replay(self, words)
         events.append(("replay", id(self), len(self.spanning), self.rank))
 
-    def logged_run(self, bound=None):
+    def logged_run(self):
         events.append(("run", id(self), len(self.spanning), self.rank))
-        run(self, bound)
+        run(self)
         events.append(("ran", self.rank))
 
     monkeypatch.setattr(LieClosure, "replay", logged_replay)
