@@ -669,7 +669,7 @@ class _ModEchelon:
     rank over Q, as reduction commutes with the integer structure
     constants, so a rank here that reaches dim L proves it.  A lower rank
     proves nothing: a vector called dependent here may be independent over
-    Q, so such a trial closes again exactly (`verdict._close`).
+    Q, so such a trial closes again exactly (`LieClosure.trial`).
     """
 
     __slots__ = ("rows",)
@@ -772,10 +772,10 @@ class LieClosure:
     `_ModEchelon` seeded with the exact echelon.  The vectors, brackets and
     order stay those of exact decisions.  A rank mod p that reaches the
     bound proves the dimension, since rank mod p is at most the rank over
-    Q; a switched closure that ends below its bound proves nothing, and
-    its caller closes it again exactly (`verdict._close`).  Without a bound
-    (`lie_closure`, and the oracle's control and relaxed closures) every
-    decision is exact.
+    Q; a switched closure that ends below its bound proves nothing, so
+    `trial`, the one place a bound is given, closes it again exactly and
+    hands back every state without one.  Without a bound (`lie_closure`,
+    and the oracle's control and relaxed closures) every decision is exact.
 
     `_sweep=True`, for `lie_closure` alone, counts every inserted bracket as
     a generator too, which brackets every pair: the all-pairs sweep whose
@@ -903,6 +903,23 @@ class LieClosure:
             if not (z and (a := self.ech.insert(z))):
                 return
             self._push(_primitive(z), a, (left, right))
+
+    def trial(self, ray: dict[int, int], words: list[tuple[int, int]] | None,
+              bound: int | None) -> "LieClosure":
+        """A copy with the ray, the words replayed if the ray joined, and a
+        run under `bound`, which may switch it mod p: a rank mod p that
+        reaches the bound proves it, and a switched copy below it closes
+        again exactly.  The state returned has no bound, so grows exactly."""
+        state = self.copy()
+        state.bound = bound
+        state.add_ray(ray)
+        if words and len(state.spanning) > len(self.spanning):
+            state.replay(words)
+        state.run()
+        if not isinstance(state.ech, _Echelon) and state.rank < bound:
+            return self.trial(ray, words, None)
+        state.bound = None
+        return state
 
     def basis(self) -> SpanBasis:
         rows = tuple(AlgebraElement.from_vector(self.kind, v) for v in self.ech.ordered_rows())

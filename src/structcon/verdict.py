@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, graphs
-from .algebra import AlgebraKind, Family, LieClosure, _ModEchelon, _ray, _stored_terms, record
+from .algebra import AlgebraKind, Family, LieClosure, _ray, _stored_terms, record
 from .errors import KindMismatch
 from .patterns import (
     DEFAULT_POOL,
@@ -244,15 +244,17 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     pairs of the vectors it inserted after its ray.  Each later ray replays
     them (`LieClosure.replay`) while each raises the rank, then `run`s.
 
-    Every trial takes one path: a copy of the control closure, its ray, the
-    template words if there are any, and a run under its bound, the
-    algebra's dimension for the first trial and R after it.  Given that
-    bound, the trial decides ranks mod p from its first exact row whose
-    pivot entry outgrows p (`algebra._ModEchelon`); the brackets, in order,
-    are those of exact decisions.  Rank mod p is at most the rank over Q,
-    so reaching the bound mod p proves it; a switched trial that ends below
-    its bound closes again exactly (`_close`).  So every dimension, R and
-    `achieved_full` are exact.
+    Every trial takes one path, `LieClosure.trial` on the control closure:
+    a copy, its ray, the template words if there are any, and a run under
+    its bound, the algebra's dimension for the first trial and R after it.
+    Given that bound, the trial decides ranks mod p from its first exact row
+    whose pivot entry outgrows p (`algebra._ModEchelon`); the brackets, in
+    order, are those of exact decisions.  Rank mod p is at most the rank
+    over Q, so reaching the bound mod p proves it; a switched trial that
+    ends below its bound closes again exactly.  `trial` is the one place a
+    trial is closed and certified, and its state has no bound, so a first
+    trial below full grows exactly into the relaxed closure.  So every
+    dimension, R and `achieved_full` are exact.
     """
     if trials < 1:
         raise ValueError("the oracle needs at least one trial")
@@ -275,12 +277,10 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
         ray = _ray(rules, drift._terms.items())
         key = frozenset(ray.items())
         if key not in closed:
-            bound = target if relaxed is None else relaxed
-            state = _close(base, ray, words, bound)
+            state = base.trial(ray, words, target if relaxed is None else relaxed)
             closed[key] = state.rank
             if relaxed is None:
                 if state.rank < target:
-                    state.bound = None
                     state.add_generators(pair.drift.bases)
                     state.run()
                 relaxed = state.rank
@@ -289,24 +289,6 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
                 words = state.parents[start + 1:]
         dims.append(closed[key])
     return OracleReport(trials, tuple(dims), target, any(d == target for d in dims), seed)
-
-
-def _close(base: LieClosure, ray: dict[int, int], words: list | None,
-           bound: int | None) -> LieClosure:
-    """A copy of the control closure with the ray, its replayed words and a
-    run under `bound`.  Given one, the copy may switch to ranks mod p; a
-    rank mod p that reaches the bound proves it, and a switched copy that
-    ends below it is closed again without a bound, exactly.  So the state
-    returned below its bound is exact."""
-    state = base.copy()
-    state.bound = bound
-    state.add_ray(ray)
-    if words and len(state.spanning) > len(base.spanning):
-        state.replay(words)
-    state.run()
-    if isinstance(state.ech, _ModEchelon) and state.rank < bound:
-        return _close(base, ray, words, None)
-    return state
 
 
 def _contradicts(verdict: Verdict, orc: OracleReport) -> bool:

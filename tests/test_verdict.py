@@ -453,18 +453,18 @@ def test_oracle_exact_under_a_tiny_prime(prime, pair, seed):
 
 
 def _close_log(mp):
-    """Log each trial closure as (bound, rank it ends at), in call order: an
-    exact re-close, bound None, follows the call that made it."""
-    calls, close = [], verdict_module._close
+    """Log each `LieClosure.trial` call as (bound, rank it ends at), in call
+    order: an exact re-close, bound None, follows the call that made it."""
+    calls, trial = [], LieClosure.trial
 
     def logged(base, ray, words, bound):
         k = len(calls)
         calls.append(None)
-        state = close(base, ray, words, bound)
+        state = trial(base, ray, words, bound)
         calls[k] = (bound, state.rank)
         return state
 
-    mp.setattr(verdict_module, "_close", logged)
+    mp.setattr(LieClosure, "trial", logged)
     return calls
 
 
@@ -477,8 +477,8 @@ def _distinct_rays(pair, trials, seed):
 
 @pytest.mark.parametrize("prime", [2, 3])
 def test_oracle_falls_back_to_the_exact_trial_under_a_tiny_prime(prime, monkeypatch):
-    # the oracle calls `_close` once per distinct ray; a switched trial that
-    # ends below its bound closes itself again, exactly
+    # the oracle calls `LieClosure.trial` once per distinct ray; a switched
+    # trial that ends below its bound closes itself again, exactly
     monkeypatch.setattr(algebra, "_P", prime)
     calls = _close_log(monkeypatch)
     for name in _ORACLE_BRACKETS:
@@ -570,12 +570,19 @@ def test_oracle_recloses_a_switched_first_trial_below_full(monkeypatch):
     assert exact == [c for c in calls if c[0] is not None]
 
 
-@pytest.mark.parametrize("pair", [_dense_su6(), _SWITCHED_BELOW_FULL], ids=["dense-su6", "below-full"])
-def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
+@pytest.mark.parametrize("pair,closures", [
+    (_dense_su6(), 1),
+    (_SWITCHED_BELOW_FULL, 2),
+    # its first trial ends at 15 of gl(4) without switching, so only the
+    # bound `LieClosure.trial` clears keeps the relaxed closure exact
+    (load_pair("gl4_pair_rings_no_loop"), 2),
+], ids=["dense-su6", "below-full", "gl4-no-loop"])
+def test_oracle_control_and_relaxed_closures_stay_exact(pair, closures, monkeypatch):
     # only a trial closure, given its bound, switches: the control closure
     # and the relaxed closure start exact, without a bound, and end exact.
     # Each run is logged: the control closure's is the first, and the
-    # relaxed closure's is the second on the first trial's state
+    # relaxed closure's, of a first trial below full, is the second on the
+    # first trial's state
     runs, run = [], LieClosure.run
 
     def logged(self):
@@ -587,11 +594,46 @@ def test_oracle_control_and_relaxed_closures_stay_exact(pair, monkeypatch):
     monkeypatch.setattr(LieClosure, "run", logged)
     oracle(pair, trials=8, seed=0)
     assert runs[0][0].generators == list(range(len(pair.control.bases)))
-    closures = [runs[0]] + [r for r in runs if r[1]]
-    # the control closure, and the relaxed closure of a first trial below full
-    assert len(closures) == (2 if pair is _SWITCHED_BELOW_FULL else 1)
+    logged = [runs[0]] + [r for r in runs if r[1]]
+    assert len(logged) == closures
     assert all(start == (None, algebra._Echelon) and end is algebra._Echelon
-               for _, _, start, end in closures)
+               for _, _, start, end in logged)
+
+
+def _control_closure(pair):
+    # the oracle's control closure: each control base's ray, run exactly
+    base = LieClosure(pair.kind)
+    for b in pair.control.bases:
+        base.add_ray(algebra._ray(base.rules, algebra._stored_terms(b)))
+    base.run()
+    return base
+
+
+def _first_ray(pair, base):
+    return algebra._ray(base.rules, sample_drift(pair.drift, DEFAULT_POOL, 0)._terms.items())
+
+
+def test_trial_leaves_its_base_and_hands_back_no_bound(monkeypatch):
+    # with the real p the first dense su(6) trial switches and reaches 35 mod
+    # p, which proves it: no re-close, and no bound on the state returned
+    pair = _dense_su6()
+    base = _control_closure(pair)
+    state = base.trial(_first_ray(pair, base), None, 35)
+    assert type(state.ech) is algebra._ModEchelon
+    assert state.rank == 35 and state.bound is None
+    # mod 2 the first trial of `_SWITCHED_BELOW_FULL` switches and ends below
+    # full su(6), so `trial` closes it again exactly, from an untouched base
+    monkeypatch.setattr(algebra, "_P", 2)
+    base = _control_closure(_SWITCHED_BELOW_FULL)
+    ray = _first_ray(_SWITCHED_BELOW_FULL, base)
+    spanning, rank = [dict(v) for v in base.spanning], base.rank
+    rows = {q: dict(row) for q, row in base.ech.rows.items()}
+    with monkeypatch.context() as mp:
+        calls = _close_log(mp)
+        state = base.trial(ray, None, 35)
+    assert calls == [(35, 16), (None, 16)]
+    assert base.spanning == spanning and base.rank == rank and base.ech.rows == rows
+    assert type(state.ech) is algebra._Echelon and state.rank == 16 and state.bound is None
 
 
 def test_lie_closure_stays_exact_past_p(monkeypatch):
