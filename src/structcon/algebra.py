@@ -906,10 +906,11 @@ class LieClosure:
 
     def trial(self, ray: dict[int, int], words: list[tuple[int, int]] | None,
               bound: int | None) -> "LieClosure":
-        """A copy with the ray, the words replayed if the ray joined, and a
-        run under `bound`, which may switch it mod p: a rank mod p that
-        reaches the bound proves it, and a switched copy below it closes
-        again exactly.  The state returned has no bound, so grows exactly."""
+        """A copy with the ray, the replayed words if the ray joined, and a
+        run under `bound`, which may switch it mod p: reaching the bound mod
+        p proves it, and a switched copy below it closes again exactly.  The
+        state returned has no bound: one below its bound is exact, and grows
+        exactly."""
         state = self.copy()
         state.bound = bound
         state.add_ray(ray)

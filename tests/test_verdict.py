@@ -594,10 +594,11 @@ def test_oracle_control_and_relaxed_closures_stay_exact(pair, closures, monkeypa
     monkeypatch.setattr(LieClosure, "run", logged)
     oracle(pair, trials=8, seed=0)
     assert runs[0][0].generators == list(range(len(pair.control.bases)))
-    logged = [runs[0]] + [r for r in runs if r[1]]
-    assert len(logged) == closures
+    # the control closure, and the relaxed closure of a first trial below full
+    whole = [runs[0]] + [r for r in runs if r[1]]
+    assert len(whole) == closures
     assert all(start == (None, algebra._Echelon) and end is algebra._Echelon
-               for _, _, start, end in logged)
+               for _, _, start, end in whole)
 
 
 def _control_closure(pair):
