@@ -187,12 +187,15 @@ def _stored_terms(b: BasisElement) -> tuple[tuple[BasisElement, int], ...]:
 
 
 def _bump(terms: dict[BasisElement, Fraction], key: BasisElement, c: Fraction) -> None:
-    """terms[key] += c, dropping the key when the sum is zero."""
-    v = terms.get(key, _Q0) + c
-    if v:
+    """terms[key] += c for a nonzero c, dropping the key when the sum is
+    zero; a new key takes c as it is."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+    elif v := old + c:
         terms[key] = v
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 class AlgebraElement:

@@ -97,19 +97,25 @@ def drift_with(pattern: DriftPattern, coeffs: Sequence[Fraction]) -> AlgebraElem
     Cancellation may zero the result; callers that care check `is_zero`.
     The sum is taken in one pass over the bases' terms and its zeros are
     dropped at the end, which gives the canonical element of the
-    base-by-base sum.
+    base-by-base sum.  The pass multiplies integer numerators and
+    denominators (`as_integer_ratio`), so a product is an `int` unless its
+    denominator is not 1, and each nonzero sum becomes a `Fraction` once.
     """
     if len(coeffs) != len(pattern.bases):
         raise ValueError(f"{len(coeffs)} coefficients for {len(pattern.bases)} drift bases")
     if not all(coeffs):
         raise ValueError("drift coefficients must be nonzero (rigid pattern)")
-    terms: dict[BasisElement, Fraction] = {}
-    get = terms.get
+    sums: dict[BasisElement, int | Fraction] = {}
+    get = sums.get
     for base, c in zip(pattern.bases, coeffs):
+        cn, cd = c.as_integer_ratio()
         for b, v in base._terms.items():
+            n, d = v.as_integer_ratio()
+            n, d = n * cn, d * cd
+            term = n if d == 1 else Fraction(n, d)
             old = get(b)
-            terms[b] = v * c if old is None else old + v * c
-    return AlgebraElement(pattern.kind, {b: v for b, v in terms.items() if v})
+            sums[b] = term if old is None else old + term
+    return AlgebraElement(pattern.kind, {b: Fraction(v) for b, v in sums.items() if v})
 
 
 def sample_drift(pattern: DriftPattern, pool: Sequence[Fraction], seed: int) -> AlgebraElement:

@@ -228,16 +228,18 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     copied per trial; every closure uses `LieClosure`'s generator-adjoint
     pair rule, and trials report dimensions alone.  Controls and drifts
     enter as primitive integer rays (`algebra._ray`): each control base's
-    ray is read off the base itself, and the one `Fraction` element built
-    per trial is its sampled drift.  Every sampled drift lies
-    in span{A_1..A_m} of the drift bases, so every trial closes inside the
-    relaxed closure L(A_1..A_m, U), and later trials stop once their rank
-    reaches its dimension R: a span of rank R inside an R-dimensional Lie
-    algebra is that algebra.  R is the first trial's rank if that is full;
-    otherwise its state is extended with the drift bases and run on.  A
-    trial's closure depends only on its drift's ray, the primitive integer
-    vector, so each distinct ray is closed once per call: a one-base drift
-    costs one closure for any number of trials.
+    ray is read off the base itself, and each trial draws one drift
+    (`sample_drift`, whose sum runs over integer numerators).  Every
+    sampled drift lies in span{A_1..A_m} of the drift bases, so every trial
+    closes inside the relaxed closure L(A_1..A_m, U), and later trials stop
+    once their rank reaches its dimension R: a span of rank R inside an
+    R-dimensional Lie algebra is that algebra.  R is the first trial's rank
+    if that is full; otherwise its state is extended with the drift bases
+    and run on.  A trial's closure depends only on its drift's ray, the
+    primitive integer vector, so each distinct ray is closed once per call.
+    Every sample c·A_1 (c != 0) of a one-base drift has A_1's ray, which is
+    read off A_1 once per call, so a one-base drift costs one closure for
+    any number of trials; its trials still draw their samples.
 
     The first trial closure of rank R that holds only the control closure,
     its own ray and their brackets gives the template words: the parent
@@ -272,10 +274,15 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     words: list[tuple[int, int]] | None = None  # the template's bracket words past its ray
     closed: dict[frozenset, int] = {}  # ray -> dimension of its trial closure
     dims: list[int] = []
+    one_base = len(pair.drift.bases) == 1
+    if one_base:  # every sample c·A_1, c != 0, has A_1's ray
+        ray = _ray(rules, pair.drift.bases[0]._terms.items())
+        key = frozenset(ray.items())
     for t in range(trials):
         drift = sample_drift(pair.drift, choices, seed * 1_000_003 + t)
-        ray = _ray(rules, drift._terms.items())
-        key = frozenset(ray.items())
+        if not one_base:
+            ray = _ray(rules, drift._terms.items())
+            key = frozenset(ray.items())
         if key not in closed:
             state = base.trial(ray, words, target if relaxed is None else relaxed)
             closed[key] = state.rank

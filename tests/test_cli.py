@@ -239,6 +239,17 @@ def test_cmd_closure_with_explicit_coefficients(capsys):
     assert "Closure dimension: 15 of 15" in out
 
 
+def test_cmd_closure_fractional_coeffs_print_as_their_integer_multiple(capsys):
+    # 1/2, 3/2, 1/2 is half of 1, 3, 1, so the drift has the same ray and the
+    # closure the same rows and steps; its products with the integer base
+    # coefficients are not all integers
+    spec = spec_path("so6_bridged_triangles")
+    assert main(["closure", spec, "--coeffs", "1/2,3/2,1/2"]) == 0
+    half = capsys.readouterr().out
+    assert main(["closure", spec, "--coeffs", "1,3,1"]) == 0
+    assert half == capsys.readouterr().out
+
+
 def test_cmd_closure_control_only(capsys):
     assert main(["closure", spec_path("su5_hub_with_loops"), "--no-drift", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -353,6 +353,25 @@ def test_oracle_closes_a_one_base_drift_once(drift, controls, monkeypatch):
     assert many.dimensions == one.dimensions * 8 == _reference_dimensions(p, 8, 0)
 
 
+@pytest.mark.parametrize("drift,controls", [
+    ((so(5), [[("B", 1, 2, 1), ("B", 2, 3, -2)]]), [("B", 3, 4)]),
+    ((so(5), [[("B", 1, 2, 1)], [("B", 2, 3, -2), ("B", 1, 4, 1)]]), [("B", 3, 4)]),
+], ids=["one-base", "two-base"])
+def test_oracle_draws_one_sample_per_trial(drift, controls, monkeypatch):
+    # a one-base drift's ray is read off its base, yet every trial still
+    # draws its sample, with the trial's seed
+    p = pattern(*drift, controls)
+    seeds = []
+
+    def counted(pattern, pool, seed):
+        seeds.append(seed)
+        return sample_drift(pattern, pool, seed)
+
+    monkeypatch.setattr(verdict_module, "sample_drift", counted)
+    oracle(p, trials=8, seed=3)
+    assert seeds == [3 * 1_000_003 + t for t in range(8)]
+
+
 @pytest.mark.parametrize("seed", [0, 1], ids=["later-trials-zero", "first-trial-zero"])
 def test_oracle_drift_cancelling_to_zero(seed):
     # bases B12 and B12 with the pool {-1, 1}: a sample is zero whenever its
