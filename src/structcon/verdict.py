@@ -228,18 +228,18 @@ def oracle(pair: ZeroPatternPair, trials: int = 8, seed: int = 0,
     copied per trial; every closure uses `LieClosure`'s generator-adjoint
     pair rule, and trials report dimensions alone.  Controls and drifts
     enter as primitive integer rays (`algebra._ray`): each control base's
-    ray is read off the base itself, and each trial draws one drift
-    (`sample_drift`, whose sum runs over integer numerators).  Every
-    sampled drift lies in span{A_1..A_m} of the drift bases, so every trial
-    closes inside the relaxed closure L(A_1..A_m, U), and later trials stop
-    once their rank reaches its dimension R: a span of rank R inside an
-    R-dimensional Lie algebra is that algebra.  R is the first trial's rank
-    if that is full; otherwise its state is extended with the drift bases
-    and run on.  A trial's closure depends only on its drift's ray, the
-    primitive integer vector, so each distinct ray is closed once per call.
-    Every sample c·A_1 (c != 0) of a one-base drift has A_1's ray, which is
-    read off A_1 once per call, so a one-base drift costs one closure for
-    any number of trials; its trials still draw their samples.
+    ray is read off the base itself, and each trial draws one drift with
+    `sample_drift`.  Every sampled drift lies
+    in span{A_1..A_m} of the drift bases, so every trial closes inside the
+    relaxed closure L(A_1..A_m, U), and later trials stop once their rank
+    reaches its dimension R: a span of rank R inside an R-dimensional Lie
+    algebra is that algebra.  R is the first trial's rank if that is full;
+    otherwise its state is extended with the drift bases and run on.  A
+    trial's closure depends only on its drift's ray, the primitive integer
+    vector, so each distinct ray is closed once per call: a one-base drift
+    costs one closure for any number of trials.  Every sample c·A_1 (c != 0)
+    of a one-base drift has A_1's ray, which is read off A_1 once per call;
+    its trials still draw their samples.
 
     The first trial closure of rank R that holds only the control closure,
     its own ray and their brackets gives the template words: the parent
