@@ -199,20 +199,19 @@ def check_generated_gl(s: ControlPattern) -> GeneratedGl:
 
 
 def check_generated_su(s: ControlPattern) -> bool:
-    """Generators span su(n) iff the colored graph has two-plus colors with a
-    spanning connected blue subgraph, or is connected with a self-loop, or is
-    connected with an odd-red cycle."""
+    """Generators span su(n) iff the colored graph is connected with a
+    self-loop, or connected with an odd-red cycle.
+
+    The paper states a third clause: two or more colors with a spanning
+    connected blue subgraph.  It is implied by the other two.  Such a graph
+    is connected, and its second color is green or red.  A green color is a
+    self-loop.  A red edge (i, j) and the blue path from i to j form a
+    cycle with exactly one red edge.
+    """
     _require(s.kind, Family.SU, "check_generated_su")
     g = graphs.contr_graph(s)
-    colors = {c for _, _, c in g.edges}
-    blue = graphs.UndirectedGraph.of(g.n, ((i, j) for i, j, c in g.edges if c is graphs.Color.BLUE))
-    if len(colors) >= 2 and analysis.is_connected(blue):
-        return True
-    if not analysis.is_connected(g):
-        return False
-    if analysis.green_loops(g):
-        return True
-    return analysis.has_odd_red_cycle(g)[0]
+    return analysis.is_connected(g) and (bool(analysis.green_loops(g))
+                                         or analysis.has_odd_red_cycle(g)[0])
 
 
 # ---------------------------------------------------------------------------

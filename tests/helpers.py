@@ -7,11 +7,12 @@ structure-constant route, so the two can check each other; the exceptions
 are `reference_sweep` and `reference_adjoint`, which check the closure
 loop alone, `integral`, which checks the integer ray of an element's terms,
 and `bracket_log` and `fresh_rules`, which watch the brackets the package
-evaluates and the structure-constant rows it builds.
+evaluates and the structure-constant rows it builds.  The graph references
+read the package's graph records, and none of its graph predicates.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from structcon.graphs import Color, ColoredMultigraph, Digraph, UndirectedGraph
@@ -229,6 +230,38 @@ def brute_odd_red_cycle(g: ColoredMultigraph) -> bool:
         return False
 
     return any(walk(s, s, {s}, 0) for s in range(1, g.n + 1))
+
+
+def generated_dimension(control):
+    """Dimension of the Lie algebra that an so(n) control set, or an su(n)
+    control set without D, generates, read off its graph alone.
+
+    Each component C of the graph generates a subalgebra on the C block,
+    and blocks on disjoint node sets commute, so the dimensions add.  An so
+    component gives so(|C|), of dimension |C|(|C|-1)/2.  Over su, read blue
+    (B) as positive and red (C) as negative.  Conjugating by diag(u), with
+    u_k = i on a cut S and 1 off it, swaps B and C up to sign on every edge
+    across S.  A component is balanced when some S leaves every blue edge
+    uncut and cuts every red one; that switch turns it all blue, so it
+    generates a conjugate of so(|C|).  A component that no S balances holds
+    a cycle with an odd number of red edges, and generates su(|C|), of
+    dimension |C|^2 - 1.  Balance is decided by trying every S.
+    """
+    from structcon.algebra import Family
+
+    kind = control.kind
+    if kind.family is Family.GL or any(b.tag == "D" for b in control.bases):
+        raise ValueError(f"no graph rule for this {kind} control set")
+    red = {(b.i, b.j) for b in control.bases if b.tag == "C"}
+    blue = {(b.i, b.j) for b in control.bases if b.tag == "B"}
+    dim = 0
+    for comp in components(UndirectedGraph.of(kind.n, red | blue)):
+        k = len(comp)
+        balanced = any(all((i in cut) != (j in cut) for i, j in red if i in comp)
+                       and all((i in cut) == (j in cut) for i, j in blue if i in comp)
+                       for r in range(k + 1) for cut in map(set, combinations(comp, r)))
+        dim += k * (k - 1) // 2 if balanced else k * k - 1
+    return dim
 
 
 def random_pair(rng):

@@ -188,6 +188,17 @@ def test_decompose_round_trip_and_membership_errors():
             decompose(m, kind)
 
 
+def test_subtraction_adds_the_negation():
+    s3 = su(3)
+    a = elem(s3, ("B", 1, 2, 3), ("C", 1, 3, Q(1, 2)), ("D", 2, 3, 1))
+    b = elem(s3, ("B", 1, 2, 3), ("C", 2, 3, -2), ("D", 1, 3, 4))
+    assert a - b == a + (-b)
+    assert (a - b).coeff(BasisElement("B", 1, 2)) == 0
+    assert (a - a).is_zero and a - a == AlgebraElement.zero(s3)
+    with pytest.raises(KindMismatch):
+        a - unit(so(3), "B", 1, 2)
+
+
 def test_bracket_structure_constant_examples():
     g3, s3 = gl(3), su(3)
     assert bracket(unit(g3, "E", 1, 2), unit(g3, "E", 2, 3)) == unit(g3, "E", 1, 3)

@@ -253,6 +253,29 @@ def test_odd_red_cycle_matches_enumeration_on_random_graphs():
             assert all(e in g.edges for e in witness)
 
 
+def test_switching_across_a_cut_keeps_the_su_graph_predicates():
+    # a cycle crosses a cut an even number of times, so swapping blue and
+    # red on every edge across it keeps each cycle's red parity
+    swap = {Color.BLUE: Color.RED, Color.RED: Color.BLUE}
+    rng = random.Random(1953)
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        g = _random_multigraph(rng, n, 10)
+        cut = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+        h = ColoredMultigraph(n, frozenset((i, j, swap[c] if (i in cut) != (j in cut) else c)
+                                           for i, j, c in g.edges))
+        found = has_odd_red_cycle(g)[0]
+        for graph in (g, h):
+            answer, witness = has_odd_red_cycle(graph)
+            assert answer == found, (g, cut)
+            if answer:
+                assert witness_is_odd_red_cycle(witness)
+                assert all(e in graph.edges for e in witness)
+        assert green_loops(h) == green_loops(g)
+        assert component_summary(h) == component_summary(g)
+        assert is_connected(h) == is_connected(g)
+
+
 def test_closure_step_M_and_fixpoints():
     cycle3 = Digraph.of(3, [(1, 2), (2, 3), (3, 1)])
     fix, steps = iterate_M(cycle3)

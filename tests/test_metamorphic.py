@@ -11,6 +11,19 @@ no C or D part.  Scaling a drift base by a nonzero rational keeps its span,
 so it keeps the relaxed closure L(A_1..A_m, U), row for row, and the
 verdict.  A larger control set generates a larger algebra, so adding a
 control base never lowers a dimension and never turns a Yes into a No.
+
+On su(n), conjugating by diag(u), with u_k = i on a cut S and 1 off it, is
+an inner automorphism that switches every edge across S: it fixes D and
+every B or C inside S or outside it, maps B_ij -> C_ij and C_ij -> -B_ij
+when i is in S and j is not, and B_ij -> -C_ij and C_ij -> B_ij when j is
+in S and i is not.  Read blue as positive and red as negative, this is
+switching of a signed graph (Harary 1953; Zaslavsky 1982), which keeps
+every cycle's red parity.  So the whole checker report, and every closure
+dimension, stays the same.  The tests also check that the map is a Lie
+homomorphism on every basis pair: a map that ignores which endpoint lies
+in S keeps every verdict, but is not one.  The components of a control
+graph give its closure dimension for so(n), and for su(n) without D
+(`helpers.generated_dimension`).
 """
 
 import random
@@ -18,11 +31,21 @@ from fractions import Fraction
 
 import pytest
 
-from structcon.algebra import AlgebraElement, BasisElement, lie_closure, su
+from structcon import algebra
+from structcon.algebra import (
+    AlgebraElement,
+    BasisElement,
+    bracket,
+    bracket_via_matrices,
+    canonical_basis,
+    lie_closure,
+    so,
+    su,
+)
 from structcon.patterns import ControlPattern, DriftPattern, ZeroPatternPair, control_generators
 from structcon.verdict import Verdict, check, oracle
 
-from helpers import kind_candidates, random_kind_pair, relabel
+from helpers import fresh_rules, generated_dimension, kind_candidates, random_kind_pair, relabel
 
 KINDS = [("so", 4), ("so", 5), ("gl", 3), ("gl", 4), ("su", 3), ("su", 4)]
 PAIRS_PER_KIND = 30
@@ -117,3 +140,95 @@ def test_scaling_a_drift_base_keeps_verdict_and_relaxed_closure(family, n):
         scaled = ZeroPatternPair(DriftPattern(pair.kind, tuple(bases)), pair.control)
         assert check(scaled).verdict is check(pair).verdict, (k, factor)
         assert relaxed_closure(scaled) == relaxed_closure(pair), (k, factor)
+
+
+def switch_basis(b, cut):
+    """The image of a basis element under the switch across cut, as
+    (element, sign)."""
+    if b.tag == "D" or (b.i in cut) == (b.j in cut):
+        return b, 1
+    # i in the cut: B -> C, C -> -B; j in the cut: B -> -C, C -> B
+    sign = -1 if (b.tag == "C") == (b.i in cut) else 1
+    return BasisElement("C" if b.tag == "B" else "B", b.i, b.j), sign
+
+
+def switch(e, cut):
+    """The image of an su(n) element under the switch across cut."""
+    terms = []
+    for b, c in e.items():
+        image, sign = switch_basis(b, cut)
+        terms.append((image, sign * c))
+    return AlgebraElement.build(e.kind, terms)
+
+
+def switch_pair(pair, cut):
+    """The pair's image under the switch across cut, drift bases in order."""
+    bases = tuple(switch(base, cut) for base in pair.drift.bases)
+    control = tuple(switch_basis(b, cut)[0] for b in pair.control.bases)
+    return ZeroPatternPair(DriftPattern(pair.kind, bases), ControlPattern(pair.kind, control))
+
+
+def random_cut(rng, n):
+    """A random node set S with 0 < |S| < n."""
+    return set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+
+
+@pytest.mark.parametrize("n", [n for f, n in KINDS if f == "su"])
+def test_switching_across_a_cut_keeps_the_report_and_dimensions(n):
+    for k, pair, rng in _cases("su", n, 6007 * n):
+        cut = random_cut(rng, n)
+        image = switch_pair(pair, cut)
+        assert check(image) == check(pair), (k, cut)
+        assert (oracle(image, TRIALS, seed=k).dimensions
+                == oracle(pair, TRIALS, seed=k).dimensions), (k, cut)
+
+
+def switching_failures(n, cuts, bracket_of):
+    """The (cut, a, b) over su(n) basis pairs with
+    switch([a, b]) != [switch a, switch b], brackets taken by bracket_of.
+
+    The switch maps each basis element to a signed basis element, so one
+    table of basis-pair brackets gives both sides."""
+    kind = su(n)
+    units = {b: AlgebraElement.build(kind, [(b, 1)]) for b in canonical_basis(kind)}
+    table = {(a, b): bracket_of(units[a], units[b]) for a in units for b in units}
+    failures = []
+    for cut in cuts:
+        for (a, b), z in table.items():
+            (sa, ca), (sb, cb) = switch_basis(a, cut), switch_basis(b, cut)
+            if table[sa, sb].scale(ca * cb) != switch(z, cut):
+                failures.append((cut, a, b))
+    return failures
+
+
+@pytest.mark.parametrize("bracket_of", [bracket_via_matrices, bracket], ids=["matrices", "rules"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_switching_is_a_lie_homomorphism_on_basis_pairs(n, bracket_of):
+    rng = random.Random(7001 * n)
+    assert switching_failures(n, [random_cut(rng, n) for _ in range(3)], bracket_of) == []
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_flipped_unit_power_fails_the_switching_check(n, monkeypatch):
+    # C_ij read as i E_ij - i E_ji: one unit's power of i flipped
+    fresh_rules(monkeypatch)
+    monkeypatch.setitem(algebra._UNITS, "C", lambda i, j: ((1, i, j), (3, j, i)))
+    rng = random.Random(7001 * n)
+    cuts = [random_cut(rng, n) for _ in range(3)]
+    assert switching_failures(n, cuts, bracket)
+    assert switching_failures(n, cuts, bracket_via_matrices) == []
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n in KINDS if f != "gl"])
+def test_generated_dimension_matches_the_closures(family, n):
+    kind = {"so": so, "su": su}[family](n)
+    candidates = [b for b in kind_candidates(kind) if b.tag != "D"]
+    rng = random.Random(8009 * n + len(family))
+    for k in range(PAIRS_PER_KIND):
+        control = ControlPattern(kind, tuple(rng.sample(candidates, rng.randint(1, min(6, len(candidates))))))
+        generators = control_generators(control)
+        dim = generated_dimension(control)
+        assert lie_closure(generators)[1] == dim, (k, control.bases)
+        # a drift inside the control closure leaves the oracle that closure
+        pair = ZeroPatternPair(DriftPattern(kind, (generators[0],)), control)
+        assert oracle(pair, 1).dimensions == (dim,), (k, control.bases)

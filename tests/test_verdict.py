@@ -44,7 +44,15 @@ from structcon.verdict import (
 )
 
 from conftest import load_pair
-from helpers import bracket_log, fresh_rules, kind_candidates, random_kind_pair, random_pair
+from helpers import (
+    bracket_log,
+    brute_odd_red_cycle,
+    components,
+    fresh_rules,
+    kind_candidates,
+    random_kind_pair,
+    random_pair,
+)
 
 
 def elem(kind, *terms):
@@ -231,6 +239,32 @@ def test_check_generated_su_examples():
     # even-red triangle stays a proper subalgebra
     c = control(s3, ("B", 1, 2), ("C", 1, 3), ("C", 2, 3))
     assert not check_generated_su(c) and closure_dim(s3, c) == 3
+
+
+def paper_generates_su(n, bases):
+    """The paper's statement, read off the bases: su(n) is generated iff the
+    colored graph has two or more colors with a spanning connected blue
+    subgraph, or is connected with a self-loop, or is connected with an
+    odd-red cycle."""
+    color = {"B": graphs.Color.BLUE, "C": graphs.Color.RED}
+    triples = [(b.i, b.j, color[b.tag]) for b in bases if b.tag != "D"]
+    triples += [(v, v, graphs.Color.GREEN) for b in bases if b.tag == "D" for v in (b.i, b.j)]
+    g = graphs.ColoredMultigraph.of(n, triples)
+    blue = graphs.UndirectedGraph.of(n, [(i, j) for i, j, c in triples if c is graphs.Color.BLUE])
+    connected = len(components(g)) == 1
+    return (len({c for _, _, c in triples}) >= 2 and len(components(blue)) == 1
+            or connected and any(b.tag == "D" for b in bases)
+            or connected and brute_odd_red_cycle(g))
+
+
+@pytest.mark.parametrize("n,largest", [(3, 9), (4, 5)])
+def test_check_generated_su_matches_the_three_clause_statement(n, largest):
+    # every su(3) control set, and every su(4) set of up to 5 of its 18 bases
+    kind = su(n)
+    candidates = kind_candidates(kind)
+    for size in range(1, largest + 1):
+        for subset in combinations(candidates, size):
+            assert check_generated_su(ControlPattern(kind, subset)) == paper_generates_su(n, subset), subset
 
 
 def test_check_generated_su_random_agreement():
