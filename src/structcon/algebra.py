@@ -503,16 +503,23 @@ def _bracket_vec(x: dict[int, int | Fraction], y: dict[int, int | Fraction],
     long as x is unchanged.  A one-term x needs no cache: its columns are
     its rule row, scaled, and y meets that row on their shared support (a
     key-view intersection, which the interpreter builds by iterating the
-    smaller side).  The structure constants are `int`s, so `int` vectors
-    give an `int` result and `Fraction` vectors a `Fraction` one; the sums
-    are the same exact sums either way, regrouped.  Rows are read from the
-    table, and built only the first time one is missing.
+    smaller side); a one-term y as well makes the bracket one rule entry,
+    scaled, read without the intersection.  The structure constants are
+    `int`s, so `int` vectors give an `int` result and `Fraction` vectors a
+    `Fraction` one; the sums are the same exact sums either way, regrouped.
+    Rows are read from the table, and built only the first time one is
+    missing.
     """
     out: dict[int, int | Fraction] = {}
     get, rows = out.get, rules.rows
     if len(x) == 1:
         [(ia, ca)] = x.items()
         row = rows.get(ia) or rules.row(ia)
+        if len(y) == 1:
+            # a rule entry lists distinct coordinates with nonzero constants
+            [(ib, cb)] = y.items()
+            c = ca * cb
+            return {idx: c * coeff for idx, coeff in row.get(ib, ())}
         for ib in row.keys() & y.keys():
             c = ca * y[ib]
             for idx, coeff in row[ib]:
@@ -591,16 +598,30 @@ class _Echelon:
     is unique, so `ordered_rows` recovers the RREF rows exactly by dividing
     each row by its pivot entry.  Rows are replaced, never changed in place,
     so copies of the state may share them.
+
+    A vector lies in the span exactly when it equals the combination of
+    rows that its own pivot entries dictate, since the rows vanish at each
+    other's pivots.  So `insert` decides a one-term vector {k: v} without a
+    reduction: if k is no pivot it is independent, with new row {k: 1};
+    if row k is {k: a}, it is that row's multiple.  Only a one-term vector
+    at a multi-term row's pivot takes the general reduction.
+
+    `multi` holds the rows with more than one entry, by pivot.  A new pivot
+    p is no pivot yet, and a one-term row {q: a} has no entry but q, so
+    back-substitution visits only `multi`'s rows.  Back-substitution can
+    shrink a row to one entry, never grow one past it.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "multi")
 
     def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> primitive row
+        self.multi: dict[int, dict[int, int]] = {}  # the rows of length > 1
 
     def copy(self) -> "_Echelon":
         new = _Echelon()
         new.rows = dict(self.rows)
+        new.multi = dict(self.multi)
         return new
 
     @property
@@ -624,17 +645,30 @@ class _Echelon:
     def insert(self, vec: dict[int, int]) -> int:
         """Add vec to the span: the new row's pivot entry if vec raised the
         rank, else 0."""
-        red = self.reduce(vec)
-        if not red:
-            return 0
-        red = _primitive(red)
-        p = min(red)
-        for q, row in self.rows.items():
+        rows, multi = self.rows, self.multi
+        if len(vec) == 1 and (p := next(iter(vec))) not in multi:
+            if p in rows:
+                return 0
+            red = {p: 1}
+        else:
+            red = self.reduce(vec)
+            if not red:
+                return 0
+            red = _primitive(red)
+            p = min(red)
+        shrunk = []
+        for q, row in multi.items():
             if p in row:
                 new = dict(row)
                 _eliminate(new, p, red)
-                self.rows[q] = _primitive(new)
-        self.rows[p] = red
+                new = rows[q] = multi[q] = _primitive(new)
+                if len(new) == 1:
+                    shrunk.append(q)
+        for q in shrunk:
+            del multi[q]
+        rows[p] = red
+        if len(red) > 1:
+            multi[p] = red
         return red[p]
 
     def ordered_rows(self) -> list[dict[int, Fraction]]:

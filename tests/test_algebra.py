@@ -567,18 +567,32 @@ _RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 @st.composite
 def _vectors(draw):
-    """A kind's dimension, sparse Fraction vectors in its coordinates, and
-    probe vectors: one drawn freely, one a combination of the others."""
-    dim = draw(st.sampled_from([su(3), gl(3)])).dimension
+    """A kind's dimension, a stream of sparse Fraction vectors in its
+    coordinates, a position in the stream at which to copy the echelon,
+    and probe vectors: one drawn freely, one a combination of the others.
+    About half the stream are one-term vectors at a coordinate that an
+    earlier vector used, so they meet every case of `_Echelon.insert`: a
+    one-term row's pivot, a multi-term row's pivot, and a multi-term row's
+    other entry, a new pivot that back-substitution clears from that row
+    and may shrink it to one entry."""
+    dim = draw(st.sampled_from([su(4), gl(4)])).dimension
     vec = st.dictionaries(st.integers(0, dim - 1), _RATIOS, max_size=4)
-    vecs = [{k: c for k, c in v.items() if c} for v in draw(st.lists(vec, max_size=10))]
+    vecs: list[dict[int, Fraction]] = []
+    for _ in range(draw(st.integers(0, 24))):
+        used = sorted({k for v in vecs for k in v})
+        if used and draw(st.booleans()):
+            v = {draw(st.sampled_from(used)): draw(_RATIOS)}
+        else:
+            v = draw(vec)
+        vecs.append({k: c for k, c in v.items() if c})
     combo: dict[int, Fraction] = {}
     for v in vecs:
         f = draw(_RATIOS)
         for k, c in v.items():
             combo[k] = combo.get(k, Q(0)) + f * c
     free = {k: c for k, c in draw(vec).items() if c}
-    return dim, vecs, [free, {k: c for k, c in combo.items() if c}]
+    split = draw(st.integers(0, len(vecs)))
+    return dim, vecs, split, [free, {k: c for k, c in combo.items() if c}]
 
 
 @st.composite
@@ -619,19 +633,28 @@ def test_control_ray_matches_integral_of_its_generator(kind):
 @settings(max_examples=100, deadline=None)
 @given(data=_vectors())
 def test_echelon_matches_dense_span(data):
-    dim, vecs, probes = data
+    dim, vecs, split, probes = data
     ech, ref = _Echelon(), DenseSpan()
 
     def dense(v):
         return [v.get(k, Q(0)) for k in range(dim)]
 
-    for v in vecs:
+    def insert(ech, ref, v):
         pivots = set(ech.rows)
         # insert gives the new row's pivot entry, or 0 for a vector in the span
         entry = ech.insert(integral(v))
         assert bool(entry) == ref.insert(dense(v))
         assert ech.rank == ref.rank
         assert [ech.rows[p][p] for p in set(ech.rows) - pivots] == ([entry] if entry else [])
+        # the multi-term record is exactly the rows with more than one entry
+        assert ech.multi == {q: r for q, r in ech.rows.items() if len(r) > 1}
+
+    for k, v in enumerate(vecs):
+        if k == split:
+            twin, twin_ref, held = ech.copy(), DenseSpan(), (dict(ech.rows), dict(ech.multi))
+            for u in vecs[:k]:
+                twin_ref.insert(dense(u))
+        insert(ech, ref, v)
     for v in probes:
         assert ech.contains(integral(v)) == ref.contains(dense(v))
     assert ech.contains(integral(probes[1]))
@@ -645,6 +668,16 @@ def test_echelon_matches_dense_span(data):
     for p, row in ech.rows.items():
         assert all(type(v) is int for v in row.values())
         assert row[p] > 0 and gcd(*row.values()) == 1
+    # a copy and its source stay independent when both grow: the copy
+    # taken at `split` missed the source's later inserts, and its own,
+    # the rest of the stream reversed and the free probe, leave the
+    # source as it is
+    if split < len(vecs):
+        assert (twin.rows, twin.multi) == held
+        grown = (dict(ech.rows), dict(ech.multi))
+        for v in [*reversed(vecs[split:]), probes[0]]:
+            insert(twin, twin_ref, v)
+        assert (ech.rows, ech.multi) == grown
 
 
 @pytest.mark.parametrize("seed", range(9))

@@ -454,7 +454,27 @@ _ORACLE_BRACKETS = {
 }
 
 
-@pytest.mark.parametrize("name", _ORACLE_BRACKETS)
+def _gl_cycle(n):
+    # the n-cycle of matrix units E_{k,k+1} and E_{n,1}, drift E_11
+    return pattern(gl(n), [[("E", 1, 1, 1)]], [("E", k, k % n + 1) for k in range(1, n + 1)])
+
+
+def _su_path(n):
+    # the B-path B_{k,k+1} over all nodes, drift C_12
+    return pattern(su(n), [[("C", 1, 2, 1)]], [("B", k, k + 1) for k in range(1, n)])
+
+
+# unit-heavy closures of rank 64-195, whose brackets and inserts are mostly
+# one-term vectors: name -> (pair, brackets, dimension), as above
+_UNIT_HEAVY_BRACKETS = {
+    "gl8_cycle": (_gl_cycle(8), 213, 64),
+    "gl12_cycle": (_gl_cycle(12), 513, 144),
+    "su10_path": (_su_path(10), 357, 99),
+    "su14_path": (_su_path(14), 729, 195),
+}
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_BRACKETS, *_UNIT_HEAVY_BRACKETS])
 def test_oracle_bracket_counts_pinned(name, monkeypatch):
     # gl4_pair_rings_no_loop never reaches full gl(4), so its later trials
     # run under the relaxed bound; the other specs are full from the first
@@ -463,9 +483,12 @@ def test_oracle_bracket_counts_pinned(name, monkeypatch):
     # raise the rank, and closes nothing.  The counts are those of the
     # generator-adjoint pair rule, which brackets each vector the control
     # closure or the first trial inserts with the generators only
-    brackets, dim = _ORACLE_BRACKETS[name]
+    if name in _ORACLE_BRACKETS:
+        pair, (brackets, dim) = load_pair(name), _ORACLE_BRACKETS[name]
+    else:
+        pair, brackets, dim = _UNIT_HEAVY_BRACKETS[name]
     log = bracket_log(monkeypatch)
-    assert oracle(load_pair(name), 8, 0).dimensions == (dim,) * 8
+    assert oracle(pair, 8, 0).dimensions == (dim,) * 8
     assert len(log) == brackets
     # no unordered pair twice: trials share only the closed control basis,
     # whose pairs the base run has bracketed, and the log keeps every vector
